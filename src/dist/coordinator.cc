@@ -474,7 +474,9 @@ StatusOr<SolverRun> DistCoordinator::SolveSubtrees(
   expand.time_limit_seconds = ctx.token.SolverBudgetSeconds();
   expand.relative_gap = request.ilp.mip_gap;
   expand.lp_options.audit_level = request.ilp.lp_audit;
-  expand.enable_dive = request.ilp.enable_dive;
+  // Every unit's worker search dives at its own root (worker.cc), in
+  // parallel; a serial dive here would only delay the fan-out.
+  expand.enable_dive = false;
   expand.cancel_flag = ctx.token.flag();
   if (!latency) expand.root_basis = request.warm.root_basis;
   if (!initial.empty()) expand.initial_solution = &initial;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -21,8 +20,7 @@
 namespace vpart {
 namespace {
 
-/// Shared by the serial and parallel searches; function-local statics keep
-/// the registry lookup off the per-node path.
+/// Function-local statics keep the registry lookup off the per-node path.
 Counter& BnbNodesTotal() {
   static Counter& counter = MetricsRegistry::Global().GetCounter(
       "vpart_bnb_nodes_total", "Branch & bound nodes processed");
@@ -79,8 +77,7 @@ bool WithinGap(double ub, double bound, double gap) {
   return (ub - bound) / denom <= gap;
 }
 
-/// Most fractional integer variable of `x`, or -1 when integral. Shared by
-/// the serial and parallel searches so the branching rule cannot diverge.
+/// Most fractional integer variable of `x`, or -1 when integral.
 int MostFractionalVariable(const LpModel& model, double integrality_tol,
                            const std::vector<double>& x) {
   int best = -1;
@@ -151,9 +148,18 @@ class NodeLpSolver {
     return lp;
   }
 
-  /// Snapshot of the last optimal basis, shareable with child nodes; the
-  /// returned basis reports !valid() when no reusable basis exists.
+  /// Snapshot of the last optimal basis; the returned basis reports
+  /// !valid() when no reusable basis exists.
   Basis SaveBasis() const { return solver_.SaveBasis(); }
+
+  /// The same snapshot, shareable with child nodes; null when warm starting
+  /// is off or no reusable basis exists.
+  std::shared_ptr<const Basis> ShareBasis() const {
+    if (!use_warm_) return nullptr;
+    Basis saved = solver_.SaveBasis();
+    if (!saved.valid()) return nullptr;
+    return std::make_shared<const Basis>(std::move(saved));
+  }
 
   bool warm_enabled() const { return use_warm_; }
 
@@ -162,482 +168,130 @@ class NodeLpSolver {
   bool use_warm_;
 };
 
-/// Per-LP wall budget shared by both search modes: whatever remains of the
-/// MIP clock, or the raw LP option when the search is unbounded. An expired
-/// deadline reports an epsilon, not 0 — SimplexOptions reads <= 0 as "no
-/// limit", which would let one node LP run unbudgeted past the MIP wall
-/// clock.
-double NodeLpBudget(const Deadline& deadline, const MipOptions& options) {
-  if (!deadline.HasLimit()) return options.lp_options.time_limit_seconds;
-  return std::max(deadline.RemainingSeconds(), 1e-9);
-}
-
-/// Shared status/flag assignment for both search modes.
-///  * `clean` — the tree emptied with no limit stop and no dropped LP node.
-///  * `closed` — the remaining open bound is within the gap of the
-///    effective incumbent min(own, external).
-void FinalizeStatus(bool have_incumbent, double incumbent_obj,
-                    double external_bound, bool clean, bool closed,
-                    bool pruned_by_external, MipResult& result) {
-  const bool proved = clean || closed;
-  result.search_exhausted = proved;
-  result.pruned_by_external_bound = pruned_by_external;
-  if (have_incumbent) {
-    // Our incumbent is itself proven optimal only if it is the effective
-    // incumbent; otherwise the external bound holder owns the proof.
-    const bool own_effective = incumbent_obj <= external_bound;
-    result.status = (proved && (own_effective || !pruned_by_external))
-                        ? MipStatus::kOptimal
-                        : MipStatus::kFeasible;
-  } else if (proved) {
-    // With external pruning this means "nothing beats the external bound",
-    // which the caller distinguishes via pruned_by_external_bound.
-    result.status = MipStatus::kInfeasible;
-  } else {
-    result.status = MipStatus::kNoSolution;
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Serial depth-first search (num_threads == 1): the original plunging DFS.
+// The search core. One loop serves every mode; the call fixes the pop order
+// and the executor:
+//  * SolveMip, num_threads == 1: LIFO plunging (the LP-preferred child is
+//    explored next), run inline on the caller's thread;
+//  * SolveMip, num_threads > 1: best-first on (bound, id), the same loop run
+//    by a pool of workers;
+//  * ExpandFrontier: best-first on one thread, stopping once the open set is
+//    wide enough to farm out.
+// Every member from mu_ down is guarded by it (diving_ is atomic); workers
+// solve node LPs on their own engines outside the lock.
 // ---------------------------------------------------------------------------
 
-/// A node is a chain of single-variable bound tightenings over the root,
-/// plus the optimal basis of its parent's relaxation for the dual warm
-/// start (children of one parent share the snapshot).
-struct Node {
-  int parent = -1;
+/// A search node: one single-variable bound tightening over its parent.
+/// Chains are immutable shared_ptr links, so any worker can materialize a
+/// node's bounds without touching shared containers.
+struct SearchNode {
+  std::shared_ptr<const SearchNode> parent;
   int var = -1;
   double lower = 0.0;
   double upper = 0.0;
   double bound = -kLpInfinity;  // LP bound inherited from the parent
-  int depth = 0;
-  std::shared_ptr<const Basis> warm;
-};
-
-class BranchAndBound {
- public:
-  BranchAndBound(const LpModel& model, const MipOptions& options)
-      : model_(model),
-        options_(options),
-        deadline_(options.time_limit_seconds),
-        node_lp_(model, options) {}
-
-  MipResult Run();
-
- private:
-  void MaterializeBounds(int node_index,
-                         std::vector<std::pair<double, double>>& bounds,
-                         const std::vector<Node>& nodes) const;
-  bool TryUpdateIncumbent(const std::vector<double>& x, double objective);
-  /// Streams a MipProgress snapshot; `announce_incumbent` ships incumbent_.
-  void EmitProgress(bool announce_incumbent);
-  /// Prunes `bound` against min(own incumbent, external bound) within the
-  /// gap; notes when the external bound was the deciding reason.
-  bool PruneBound(double bound);
-  bool GapClosed();
-  /// Rounding dive from (bounds, lp): repeatedly fixes the fractional
-  /// integer closest to integrality at its rounding and re-solves — each
-  /// step warm-starting off the previous one's basis.
-  void Dive(std::vector<std::pair<double, double>> bounds, LpResult lp);
-  double NodeBudget() const { return NodeLpBudget(deadline_, options_); }
-
-  const LpModel& model_;
-  const MipOptions& options_;
-  Deadline deadline_;
-  Stopwatch watch_;
-  NodeLpSolver node_lp_;
-
-  bool have_incumbent_ = false;
-  double incumbent_obj_ = kLpInfinity;
-  std::vector<double> incumbent_;
-  std::multiset<double> open_bounds_;
-  double root_bound_ = -kLpInfinity;
-  bool pruned_by_external_ = false;
-  bool any_lp_failure_ = false;
-  MipResult result_;
-};
-
-void BranchAndBound::MaterializeBounds(
-    int node_index, std::vector<std::pair<double, double>>& bounds,
-    const std::vector<Node>& nodes) const {
-  for (int j = 0; j < model_.num_variables(); ++j) {
-    bounds[j] = {model_.variable(j).lower, model_.variable(j).upper};
-  }
-  // Walk the chain root-ward; tightenings deeper in the tree win, so apply
-  // by intersecting (each variable is only tightened monotonically anyway).
-  for (int i = node_index; i >= 0; i = nodes[i].parent) {
-    const Node& node = nodes[i];
-    if (node.var < 0) continue;
-    bounds[node.var].first = std::max(bounds[node.var].first, node.lower);
-    bounds[node.var].second = std::min(bounds[node.var].second, node.upper);
-  }
-}
-
-bool BranchAndBound::TryUpdateIncumbent(const std::vector<double>& x,
-                                        double objective) {
-  if (have_incumbent_ && objective >= incumbent_obj_) return false;
-  // Round integers exactly before storing.
-  std::vector<double> rounded = x;
-  for (int j = 0; j < model_.num_variables(); ++j) {
-    if (model_.variable(j).is_integer) rounded[j] = std::round(rounded[j]);
-  }
-  // Defense in depth: never accept an incumbent the model itself rejects
-  // (protects against LP tolerance drift after rounding).
-  if (!model_.CheckFeasible(rounded, 1e-5).ok()) {
-    VPART_LOG(Warning) << "rejecting infeasible rounded incumbent";
-    return false;
-  }
-  have_incumbent_ = true;
-  incumbent_obj_ = model_.EvaluateObjective(rounded);
-  incumbent_ = std::move(rounded);
-  EmitProgress(/*announce_incumbent=*/true);
-  return true;
-}
-
-void BranchAndBound::EmitProgress(bool announce_incumbent) {
-  if (!options_.progress) return;
-  MipProgress snapshot;
-  snapshot.nodes = result_.nodes;
-  snapshot.has_incumbent = have_incumbent_;
-  snapshot.incumbent_objective = incumbent_obj_;
-  snapshot.best_bound = open_bounds_.empty()
-                            ? (have_incumbent_ ? incumbent_obj_ : -kLpInfinity)
-                            : *open_bounds_.begin();
-  snapshot.seconds = watch_.ElapsedSeconds();
-  snapshot.lp_stats = result_.lp_stats;
-  if (announce_incumbent) snapshot.incumbent_values = incumbent_;
-  options_.progress(snapshot);
-}
-
-bool BranchAndBound::PruneBound(double bound) {
-  const double own = have_incumbent_ ? incumbent_obj_ : kLpInfinity;
-  const double ext = ExternalBound(options_);
-  const double effective = std::min(own, ext);
-  if (!WithinGap(effective, bound, options_.relative_gap)) return false;
-  if (!WithinGap(own, bound, options_.relative_gap)) {
-    pruned_by_external_ = true;  // only the shared bound justified this cut
-  }
-  return true;
-}
-
-void BranchAndBound::Dive(std::vector<std::pair<double, double>> bounds,
-                          LpResult lp) {
-  // Bounded number of re-solves; each dive step fixes one variable, so the
-  // trail of optimal bases makes every step a single-bound-change dual
-  // reoptimization.
-  Span dive_span("bnb_dive", "mip", ObsLevel::kFull);
-  const int max_depth = model_.num_variables() + 8;
-  Basis trail = node_lp_.warm_enabled() ? node_lp_.SaveBasis() : Basis();
-  for (int depth = 0; depth < max_depth; ++depth) {
-    if (deadline_.Expired() || Cancelled(options_)) return;
-    // Find the fractional integer variable closest to an integer value.
-    int best = -1;
-    double best_dist = 0.5 + 1e-9;
-    for (int j = 0; j < model_.num_variables(); ++j) {
-      if (!model_.variable(j).is_integer) continue;
-      const double frac = lp.values[j] - std::floor(lp.values[j]);
-      const double dist = std::min(frac, 1.0 - frac);
-      if (dist > 1e-6 && dist < best_dist) {
-        best_dist = dist;
-        best = j;
-      }
-    }
-    if (best < 0) {
-      // Integral: candidate incumbent.
-      TryUpdateIncumbent(lp.values, lp.objective);
-      return;
-    }
-    const double rounded = std::round(lp.values[best]);
-    bounds[best] = {rounded, rounded};
-    LpSolveStats delta;
-    lp = node_lp_.Solve(bounds, trail.valid() ? &trail : nullptr,
-                        NodeBudget(), delta);
-    result_.lp_stats.Add(delta);
-    if (lp.status != LpStatus::kOptimal) return;  // dead end; give up
-    if (node_lp_.warm_enabled()) trail = node_lp_.SaveBasis();
-    if (have_incumbent_ && lp.objective >= incumbent_obj_) return;
-  }
-}
-
-bool BranchAndBound::GapClosed() {
-  // An LP failure silently dropped a subtree: its bound is missing from
-  // open_bounds_, so no closure claim based on the open set is sound.
-  if (any_lp_failure_) return false;
-  const double own = have_incumbent_ ? incumbent_obj_ : kLpInfinity;
-  const double effective = std::min(own, ExternalBound(options_));
-  if (!std::isfinite(effective)) return false;
-  const double bound =
-      open_bounds_.empty() ? effective : *open_bounds_.begin();
-  if (!WithinGap(effective, bound, options_.relative_gap + 1e-12)) {
-    return false;
-  }
-  if (effective < own) pruned_by_external_ = true;
-  return true;
-}
-
-MipResult BranchAndBound::Run() {
-  watch_.Reset();
-
-  if (options_.initial_solution != nullptr) {
-    const std::vector<double>& x0 = *options_.initial_solution;
-    if (model_.CheckFeasible(x0, 1e-6).ok()) {
-      TryUpdateIncumbent(x0, model_.EvaluateObjective(x0));
-    } else {
-      VPART_LOG(Warning) << "warm-start solution rejected as infeasible";
-    }
-  }
-
-  std::vector<Node> nodes;
-  nodes.reserve(1024);
-  Node root;
-  // Cross-request seed: the root reoptimizes from a prior solve's terminal
-  // root basis instead of a cold two-phase primal. Mismatches fall back
-  // cold inside NodeLpSolver.
-  root.warm = options_.root_basis;
-  nodes.push_back(root);
-  std::vector<int> stack = {0};
-  open_bounds_.insert(-kLpInfinity);
-
-  std::vector<std::pair<double, double>> bounds(model_.num_variables());
-  bool limit_hit = false;
-  bool closed = false;
-
-  while (!stack.empty()) {
-    if (deadline_.Expired() || Cancelled(options_) ||
-        (options_.max_nodes > 0 && result_.nodes >= options_.max_nodes)) {
-      limit_hit = true;
-      break;
-    }
-    if (GapClosed()) {
-      closed = true;
-      break;
-    }
-
-    const int node_index = stack.back();
-    stack.pop_back();
-    const Node node = nodes[node_index];
-    // The chain vector is append-only (MaterializeBounds walks parents), so
-    // drop the processed node's snapshot now — otherwise every basis ever
-    // saved stays alive until the search ends.
-    nodes[node_index].warm.reset();
-    open_bounds_.erase(open_bounds_.find(node.bound));
-
-    // Bound-based pruning against the effective incumbent (gap-aware).
-    if (PruneBound(node.bound)) continue;
-
-    ++result_.nodes;
-    BnbNodesTotal().Increment();
-    // Hot-path span: only recorded under full tracing (kFull gates the
-    // per-node cost to requests that asked for flame-chart depth).
-    Span node_span("bnb_node", "mip", ObsLevel::kFull);
-    node_span.AddArg("node", result_.nodes);
-    node_span.AddArg("bound", node.bound);
-    if (options_.progress_node_interval > 0 &&
-        result_.nodes % options_.progress_node_interval == 0) {
-      EmitProgress(/*announce_incumbent=*/false);
-    }
-    MaterializeBounds(node_index, bounds, nodes);
-
-    LpSolveStats delta;
-    LpResult lp =
-        node_lp_.Solve(bounds, node.warm.get(), NodeBudget(), delta);
-    result_.lp_stats.Add(delta);
-    if (lp.status == LpStatus::kInfeasible) continue;
-    if (lp.status == LpStatus::kUnbounded) {
-      // A bounded-variable MIP cannot be unbounded unless the model has
-      // unbounded continuous directions; surface as a failure bound.
-      VPART_LOG(Warning) << "LP relaxation unbounded at node";
-      continue;
-    }
-    if (lp.status != LpStatus::kOptimal) {
-      any_lp_failure_ = true;
-      continue;  // conservative: drop the node (bound stays valid via others)
-    }
-
-    const double lp_bound = lp.objective;
-    if (node_index == 0) {
-      root_bound_ = lp_bound;
-      // Export the root relaxation's optimal basis before any dive reuses
-      // the engine; a future same-shaped solve seeds its root with it.
-      if (node_lp_.warm_enabled()) {
-        Basis saved = node_lp_.SaveBasis();
-        if (saved.valid()) {
-          result_.root_basis =
-              std::make_shared<const Basis>(std::move(saved));
-        }
-      }
-    }
-    if (PruneBound(lp_bound)) continue;
-
-    const int branch_var =
-        MostFractionalVariable(model_, options_.integrality_tol, lp.values);
-    if (branch_var < 0) {
-      TryUpdateIncumbent(lp.values, lp_bound);
-      continue;
-    }
-
-    // Children warm-start from this node's optimal basis. Snapshot before
-    // the dive below — the dive reuses the same simplex engine and would
-    // otherwise overwrite the basis the children need.
-    std::shared_ptr<const Basis> child_warm;
-    if (node_lp_.warm_enabled()) {
-      Basis saved = node_lp_.SaveBasis();
-      if (saved.valid()) {
-        child_warm = std::make_shared<const Basis>(std::move(saved));
-      }
-    }
-
-    // Primal heuristic: dive from the root, and periodically while no
-    // incumbent has been found yet.
-    if (options_.enable_dive &&
-        (result_.nodes == 1 ||
-         (!have_incumbent_ && result_.nodes % 50 == 0))) {
-      Dive(bounds, lp);
-    }
-
-    const double value = lp.values[branch_var];
-    const double floor_value = std::floor(value);
-
-    Node down;
-    down.parent = node_index;
-    down.var = branch_var;
-    down.lower = bounds[branch_var].first;
-    down.upper = floor_value;
-    down.bound = lp_bound;
-    down.depth = node.depth + 1;
-    down.warm = child_warm;
-
-    Node up;
-    up.parent = node_index;
-    up.var = branch_var;
-    up.lower = floor_value + 1.0;
-    up.upper = bounds[branch_var].second;
-    up.bound = lp_bound;
-    up.depth = node.depth + 1;
-    up.warm = child_warm;
-
-    // Plunge toward the side the LP leans to (pushed last = explored first).
-    const bool prefer_up = (value - floor_value) > 0.5;
-    const Node& first = prefer_up ? down : up;
-    const Node& second = prefer_up ? up : down;
-    nodes.push_back(first);
-    stack.push_back(static_cast<int>(nodes.size()) - 1);
-    open_bounds_.insert(first.bound);
-    nodes.push_back(second);
-    stack.push_back(static_cast<int>(nodes.size()) - 1);
-    open_bounds_.insert(second.bound);
-  }
-
-  result_.seconds = watch_.ElapsedSeconds();
-  result_.lp_iterations = result_.lp_stats.total_iterations();
-  // Best bound: min over still-open nodes; exhausted tree -> incumbent —
-  // capped by the external bound where it provided cuts (nodes pruned
-  // against it were only proven >= the external value, not >= ours).
-  double open_min = kLpInfinity;
-  for (int i : stack) open_min = std::min(open_min, nodes[i].bound);
-  if (stack.empty() && !limit_hit && !any_lp_failure_) {
-    double proven = have_incumbent_ ? incumbent_obj_ : kLpInfinity;
-    if (pruned_by_external_) {
-      proven = std::min(proven, ExternalBound(options_));
-    }
-    result_.best_bound = proven;
-  } else {
-    result_.best_bound =
-        std::isfinite(open_min) ? open_min : root_bound_;
-  }
-
-  if (have_incumbent_) {
-    result_.objective = incumbent_obj_;
-    result_.values = incumbent_;
-  }
-  // Re-check closure: the loop may have ended with the gap closed without
-  // passing the top-of-loop test again.
-  closed = closed || GapClosed();
-  const bool clean = stack.empty() && !limit_hit && !any_lp_failure_;
-  FinalizeStatus(have_incumbent_, incumbent_obj_, ExternalBound(options_),
-                 clean, closed, pruned_by_external_, result_);
-  return result_;
-}
-
-// ---------------------------------------------------------------------------
-// Parallel best-first search (num_threads > 1): subproblem nodes fan out to
-// a thread pool over a mutex-guarded best-first queue; the incumbent is
-// shared. Node chains are immutable shared_ptr links so workers materialize
-// variable bounds without touching shared containers; each node also carries
-// its parent's optimal basis, which any worker's own simplex engine can
-// load (snapshots are immutable once published).
-// ---------------------------------------------------------------------------
-
-struct PNode {
-  std::shared_ptr<const PNode> parent;
-  int var = -1;
-  double lower = 0.0;
-  double upper = 0.0;
-  double bound = -kLpInfinity;
-  int depth = 0;
-  long id = 0;  // creation order; tie-breaker for deterministic pops
-  /// mutable: exactly one worker pops (and therefore processes) a node, and
-  /// it clears the snapshot after the node LP — ancestors live on in the
-  /// parent chains of their descendants, and without the reset so would
-  /// every basis ever saved.
+  long id = 0;                  // creation order; orders the open set
+  /// The parent's optimal basis, which any worker's engine can load (children
+  /// of one parent share the snapshot). mutable: exactly one worker pops a
+  /// node, and it clears the snapshot after the node LP — ancestors live on
+  /// in their descendants' chains, and without the reset so would every
+  /// basis ever saved.
   mutable std::shared_ptr<const Basis> warm;
 };
+using NodePtr = std::shared_ptr<const SearchNode>;
 
-class ParallelBranchAndBound {
+/// Open-set order; the first element pops next. Plunging: newest node first.
+/// Best-first: lowest bound, ties in creation order.
+struct PopOrder {
+  bool best_first;
+  bool operator()(const NodePtr& a, const NodePtr& b) const {
+    if (!best_first) return a->id > b->id;
+    if (a->bound != b->bound) return a->bound < b->bound;
+    return a->id < b->id;
+  }
+};
+
+/// Model bounds intersected with every tightening on `node`'s chain (each
+/// variable is only tightened monotonically, so intersecting is exact).
+void MaterializeBounds(const LpModel& model, const SearchNode& node,
+                       std::vector<std::pair<double, double>>& bounds) {
+  for (int j = 0; j < model.num_variables(); ++j) {
+    bounds[j] = {model.variable(j).lower, model.variable(j).upper};
+  }
+  for (const SearchNode* n = &node; n != nullptr; n = n->parent.get()) {
+    if (n->var < 0) continue;
+    bounds[n->var].first = std::max(bounds[n->var].first, n->lower);
+    bounds[n->var].second = std::min(bounds[n->var].second, n->upper);
+  }
+}
+
+class Search {
  public:
-  ParallelBranchAndBound(const LpModel& model, const MipOptions& options)
+  /// `open_target` > 0 stops the search once that many nodes are open and
+  /// drops the open nodes the incumbent already proves (frontier expansion;
+  /// single-threaded only). The search plunges unless it runs on several
+  /// threads or toward an open target; then it pops best-first.
+  Search(const LpModel& model, const MipOptions& options, int num_threads,
+         size_t open_target = 0)
       : model_(model),
         options_(options),
-        deadline_(options.time_limit_seconds) {}
+        num_threads_(std::max(num_threads, 1)),
+        open_target_(open_target),
+        deadline_(options.time_limit_seconds),
+        open_(PopOrder{num_threads > 1 || open_target > 0}) {}
 
   MipResult Run();
 
- private:
-  struct OpenEntry {
-    double bound;
-    long id;
-    std::shared_ptr<const PNode> node;
-    bool operator<(const OpenEntry& other) const {
-      if (bound != other.bound) return bound < other.bound;
-      return id < other.id;
-    }
-  };
+  /// The nodes still open after Run(), in pop order.
+  const std::set<NodePtr, PopOrder>& open() const { return open_; }
+  /// An LP failure dropped a subtree somewhere in the search.
+  bool any_lp_failure() const { return any_lp_failure_; }
 
+ private:
   void Worker();
-  void ProcessNode(const std::shared_ptr<const PNode>& node,
+  void ProcessNode(const NodePtr& node, long number,
                    std::vector<std::pair<double, double>>& bounds,
                    NodeLpSolver& lp_solver);
-  void MaterializeBounds(const PNode& node,
-                         std::vector<std::pair<double, double>>& bounds) const;
-  /// Locks internally; `objective` is recomputed after rounding.
+  /// Locks internally; the objective is recomputed after rounding.
   void OfferIncumbent(const std::vector<double>& x);
   /// Snapshots progress under mu_ and fires the callback unlocked.
   void EmitProgressLocked(std::unique_lock<std::mutex>& lock,
                           bool announce_incumbent);
+  /// Rounding dive from (bounds, lp): repeatedly fixes the fractional
+  /// integer closest to integrality at its rounding and re-solves — each
+  /// step warm-starting off the previous one's basis.
   void Dive(std::vector<std::pair<double, double>> bounds, LpResult lp,
             NodeLpSolver& lp_solver);
-  double NodeBudget() const { return NodeLpBudget(deadline_, options_); }
-
-  double OwnIncumbentLocked() const {
-    return have_incumbent_ ? incumbent_obj_ : kLpInfinity;
-  }
+  /// Prunes `bound` against min(own incumbent, external bound) within the
+  /// gap; notes when the external bound was the deciding reason.
   bool PruneBoundLocked(double bound);
   bool GapClosedLocked();
+  void PushLocked(std::shared_ptr<SearchNode> node);
   void EraseOpenBoundLocked(double bound) {
     auto it = open_bounds_.find(bound);
     assert(it != open_bounds_.end());
     open_bounds_.erase(it);
   }
+  /// Per-LP wall budget: whatever remains of the MIP clock, or the raw LP
+  /// option when the search is unbounded. An expired deadline reports an
+  /// epsilon, not 0 — SimplexOptions reads <= 0 as "no limit", which would
+  /// let one node LP run unbudgeted past the MIP wall clock.
+  double NodeBudget() const {
+    if (!deadline_.HasLimit()) return options_.lp_options.time_limit_seconds;
+    return std::max(deadline_.RemainingSeconds(), 1e-9);
+  }
+  MipResult Finish();
 
   const LpModel& model_;
   const MipOptions& options_;
+  const int num_threads_;
+  const size_t open_target_;
   Deadline deadline_;
   Stopwatch watch_;
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::set<OpenEntry> open_;
+  std::set<NodePtr, PopOrder> open_;
   std::multiset<double> open_bounds_;  // open + in-flight node bounds
   long next_id_ = 0;
   int active_ = 0;
@@ -656,24 +310,14 @@ class ParallelBranchAndBound {
   std::atomic<bool> diving_{false};
 };
 
-void ParallelBranchAndBound::MaterializeBounds(
-    const PNode& node, std::vector<std::pair<double, double>>& bounds) const {
-  for (int j = 0; j < model_.num_variables(); ++j) {
-    bounds[j] = {model_.variable(j).lower, model_.variable(j).upper};
-  }
-  for (const PNode* n = &node; n != nullptr; n = n->parent.get()) {
-    if (n->var < 0) continue;
-    bounds[n->var].first = std::max(bounds[n->var].first, n->lower);
-    bounds[n->var].second = std::min(bounds[n->var].second, n->upper);
-  }
-}
-
-void ParallelBranchAndBound::OfferIncumbent(const std::vector<double>& x) {
+void Search::OfferIncumbent(const std::vector<double>& x) {
   std::vector<double> rounded = x;
   for (int j = 0; j < model_.num_variables(); ++j) {
     if (model_.variable(j).is_integer) rounded[j] = std::round(rounded[j]);
   }
-  // Feasibility check runs outside the lock (the model is immutable).
+  // Defense in depth: never accept an incumbent the model itself rejects
+  // (protects against LP tolerance drift after rounding). The check runs
+  // outside the lock; the model is immutable.
   if (!model_.CheckFeasible(rounded, 1e-5).ok()) {
     VPART_LOG(Warning) << "rejecting infeasible rounded incumbent";
     return;
@@ -687,8 +331,8 @@ void ParallelBranchAndBound::OfferIncumbent(const std::vector<double>& x) {
   EmitProgressLocked(lock, /*announce_incumbent=*/true);
 }
 
-void ParallelBranchAndBound::EmitProgressLocked(
-    std::unique_lock<std::mutex>& lock, bool announce_incumbent) {
+void Search::EmitProgressLocked(std::unique_lock<std::mutex>& lock,
+                                bool announce_incumbent) {
   assert(lock.owns_lock());
   if (!options_.progress) return;
   MipProgress snapshot;
@@ -708,21 +352,21 @@ void ParallelBranchAndBound::EmitProgressLocked(
   lock.lock();
 }
 
-bool ParallelBranchAndBound::PruneBoundLocked(double bound) {
-  const double own = OwnIncumbentLocked();
+bool Search::PruneBoundLocked(double bound) {
+  const double own = have_incumbent_ ? incumbent_obj_ : kLpInfinity;
   const double effective = std::min(own, ExternalBound(options_));
   if (!WithinGap(effective, bound, options_.relative_gap)) return false;
   if (!WithinGap(own, bound, options_.relative_gap)) {
-    pruned_by_external_ = true;
+    pruned_by_external_ = true;  // only the shared bound justified this cut
   }
   return true;
 }
 
-bool ParallelBranchAndBound::GapClosedLocked() {
-  // A dropped (LP-failed) subtree is missing from open_bounds_; closure
-  // claims based on the open set are unsound then.
+bool Search::GapClosedLocked() {
+  // An LP failure silently dropped a subtree: its bound is missing from
+  // open_bounds_, so no closure claim based on the open set is sound.
   if (any_lp_failure_) return false;
-  const double own = OwnIncumbentLocked();
+  const double own = have_incumbent_ ? incumbent_obj_ : kLpInfinity;
   const double effective = std::min(own, ExternalBound(options_));
   if (!std::isfinite(effective)) return false;
   const double bound =
@@ -734,15 +378,23 @@ bool ParallelBranchAndBound::GapClosedLocked() {
   return true;
 }
 
-void ParallelBranchAndBound::Dive(
-    std::vector<std::pair<double, double>> bounds, LpResult lp,
-    NodeLpSolver& lp_solver) {
+void Search::PushLocked(std::shared_ptr<SearchNode> node) {
+  node->id = next_id_++;
+  open_bounds_.insert(node->bound);
+  open_.insert(std::move(node));
+}
+
+void Search::Dive(std::vector<std::pair<double, double>> bounds, LpResult lp,
+                  NodeLpSolver& lp_solver) {
+  // Bounded number of re-solves; each dive step fixes one variable, so the
+  // trail of optimal bases makes every step a single-bound-change dual
+  // reoptimization.
   Span dive_span("bnb_dive", "mip", ObsLevel::kFull);
   const int max_depth = model_.num_variables() + 8;
   Basis trail = lp_solver.warm_enabled() ? lp_solver.SaveBasis() : Basis();
-  LpSolveStats dive_stats;
   for (int depth = 0; depth < max_depth; ++depth) {
-    if (deadline_.Expired() || Cancelled(options_)) break;
+    if (deadline_.Expired() || Cancelled(options_)) return;
+    // Find the fractional integer variable closest to an integer value.
     int best = -1;
     double best_dist = 0.5 + 1e-9;
     for (int j = 0; j < model_.num_variables(); ++j) {
@@ -755,76 +407,72 @@ void ParallelBranchAndBound::Dive(
       }
     }
     if (best < 0) {
-      OfferIncumbent(lp.values);
-      break;
+      OfferIncumbent(lp.values);  // integral: candidate incumbent
+      return;
     }
     const double rounded = std::round(lp.values[best]);
     bounds[best] = {rounded, rounded};
     LpSolveStats delta;
     lp = lp_solver.Solve(bounds, trail.valid() ? &trail : nullptr,
                          NodeBudget(), delta);
-    dive_stats.Add(delta);
-    if (lp.status != LpStatus::kOptimal) break;
-    if (lp_solver.warm_enabled()) trail = lp_solver.SaveBasis();
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (have_incumbent_ && lp.objective >= incumbent_obj_) break;
+      lp_stats_.Add(delta);
+      if (lp.status != LpStatus::kOptimal) return;  // dead end; give up
+      if (have_incumbent_ && lp.objective >= incumbent_obj_) return;
     }
+    if (lp_solver.warm_enabled()) trail = lp_solver.SaveBasis();
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  lp_stats_.Add(dive_stats);
 }
 
-void ParallelBranchAndBound::ProcessNode(
-    const std::shared_ptr<const PNode>& node,
-    std::vector<std::pair<double, double>>& bounds,
-    NodeLpSolver& lp_solver) {
+void Search::ProcessNode(const NodePtr& node, long number,
+                         std::vector<std::pair<double, double>>& bounds,
+                         NodeLpSolver& lp_solver) {
   BnbNodesTotal().Increment();
+  // Hot-path span: only recorded under full tracing (kFull gates the
+  // per-node cost to requests that asked for flame-chart depth).
   Span node_span("bnb_node", "mip", ObsLevel::kFull);
-  node_span.AddArg("node", node->id);
+  node_span.AddArg("node", number);
   node_span.AddArg("bound", node->bound);
-  MaterializeBounds(*node, bounds);
+  MaterializeBounds(model_, *node, bounds);
   LpSolveStats delta;
   LpResult lp =
       lp_solver.Solve(bounds, node->warm.get(), NodeBudget(), delta);
-  node->warm.reset();  // single consumer (this worker); see PNode::warm
+  node->warm.reset();  // single consumer (this worker); see SearchNode::warm
 
   bool want_dive = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     lp_stats_.Add(delta);
-    if (lp.status == LpStatus::kInfeasible) {
-      EraseOpenBoundLocked(node->bound);
-      return;
-    }
     if (lp.status == LpStatus::kUnbounded) {
+      // A bounded-variable MIP cannot be unbounded unless the model has
+      // unbounded continuous directions; drop the node like an infeasible
+      // one.
       VPART_LOG(Warning) << "LP relaxation unbounded at node";
-      EraseOpenBoundLocked(node->bound);
-      return;
+    } else if (lp.status != LpStatus::kOptimal &&
+               lp.status != LpStatus::kInfeasible) {
+      // Conservative: drop the node; the bound stays valid via the others,
+      // but no closure claim may rest on the open set any more.
+      any_lp_failure_ = true;
     }
     if (lp.status != LpStatus::kOptimal) {
-      any_lp_failure_ = true;
       EraseOpenBoundLocked(node->bound);
       return;
     }
     if (node->id == 0) {
       root_bound_ = lp.objective;
-      // Snapshot for cross-request root seeding; only the root's worker
-      // reaches here, and the per-worker engine still holds its basis.
-      if (lp_solver.warm_enabled()) {
-        Basis saved = lp_solver.SaveBasis();
-        if (saved.valid()) {
-          root_basis_ = std::make_shared<const Basis>(std::move(saved));
-        }
-      }
+      // Export the root relaxation's optimal basis before any dive reuses
+      // the engine; a future same-shaped solve seeds its root with it.
+      root_basis_ = lp_solver.ShareBasis();
     }
     if (PruneBoundLocked(lp.objective)) {
       EraseOpenBoundLocked(node->bound);
       return;
     }
+    // Primal heuristic: dive from the root, and periodically while no
+    // incumbent has been found yet.
     want_dive = options_.enable_dive &&
-                (node->id == 0 ||
-                 (!have_incumbent_ && nodes_processed_ % 50 == 0));
+                (node->id == 0 || (!have_incumbent_ && number % 50 == 0));
   }
 
   const int branch_var =
@@ -838,15 +486,9 @@ void ParallelBranchAndBound::ProcessNode(
 
   // Children warm-start from this node's basis; snapshot before the dive
   // reuses (and overwrites) the worker's simplex engine.
-  std::shared_ptr<const Basis> child_warm;
-  if (lp_solver.warm_enabled()) {
-    Basis saved = lp_solver.SaveBasis();
-    if (saved.valid()) {
-      child_warm = std::make_shared<const Basis>(std::move(saved));
-    }
-  }
+  std::shared_ptr<const Basis> child_warm = lp_solver.ShareBasis();
 
-  // Primal rounding dive; one at a time across the workers is plenty.
+  // One dive at a time across the workers is plenty.
   if (want_dive && !diving_.exchange(true)) {
     Dive(bounds, lp, lp_solver);
     diving_.store(false);
@@ -854,101 +496,81 @@ void ParallelBranchAndBound::ProcessNode(
 
   const double value = lp.values[branch_var];
   const double floor_value = std::floor(value);
-
-  auto down = std::make_shared<PNode>();
+  auto down = std::make_shared<SearchNode>();
   down->parent = node;
   down->var = branch_var;
   down->lower = bounds[branch_var].first;
   down->upper = floor_value;
   down->bound = lp.objective;
-  down->depth = node->depth + 1;
   down->warm = child_warm;
-
-  auto up = std::make_shared<PNode>();
-  up->parent = node;
-  up->var = branch_var;
+  auto up = std::make_shared<SearchNode>(*down);
   up->lower = floor_value + 1.0;
   up->upper = bounds[branch_var].second;
-  up->bound = lp.objective;
-  up->depth = node->depth + 1;
-  up->warm = child_warm;
 
-  // The LP-preferred child gets the smaller id: equal bounds pop in
-  // plunge order, mirroring the serial search's exploration bias.
+  // Plunge toward the side the LP leans to. Ids follow push order, so under
+  // LIFO the child pushed last pops next, while best-first breaks equal
+  // bounds by the smaller id: either way the preferred child goes first.
   const bool prefer_up = (value - floor_value) > 0.5;
-  std::shared_ptr<PNode> first = prefer_up ? up : down;
-  std::shared_ptr<PNode> second = prefer_up ? down : up;
-
+  std::shared_ptr<SearchNode> preferred = prefer_up ? up : down;
+  std::shared_ptr<SearchNode> other = prefer_up ? down : up;
   std::lock_guard<std::mutex> lock(mu_);
-  first->id = ++next_id_;
-  second->id = ++next_id_;
-  open_.insert({first->bound, first->id, std::move(first)});
-  open_bounds_.insert(lp.objective);
-  open_.insert({second->bound, second->id, std::move(second)});
-  open_bounds_.insert(lp.objective);
+  const bool lifo = !open_.key_comp().best_first;
+  PushLocked(lifo ? other : preferred);
+  PushLocked(lifo ? preferred : other);
   EraseOpenBoundLocked(node->bound);
   cv_.notify_all();
 }
 
-void ParallelBranchAndBound::Worker() {
+void Search::Worker() {
   std::vector<std::pair<double, double>> bounds(model_.num_variables());
   // Each worker owns a simplex engine; the constraint matrix build is paid
   // once per worker, and any published Basis snapshot loads into it.
   NodeLpSolver lp_solver(model_, options_);
   std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    if (stop_) break;
+  while (!stop_) {
+    if (open_.empty() && active_ == 0) break;  // tree exhausted
+    if (open_target_ > 0 && open_.size() >= open_target_) break;
     if (deadline_.Expired() || Cancelled(options_) ||
         (options_.max_nodes > 0 && nodes_processed_ >= options_.max_nodes)) {
       limit_hit_ = true;
-      stop_ = true;
-      cv_.notify_all();
       break;
     }
     if (GapClosedLocked()) {
       closed_ = true;
-      stop_ = true;
-      cv_.notify_all();
       break;
     }
     if (open_.empty()) {
-      if (active_ == 0) {
-        stop_ = true;
-        cv_.notify_all();
-        break;
-      }
-      // Timed wait so deadlines/cancellation are noticed while idle.
+      // Siblings are still expanding nodes. Timed wait so deadlines and
+      // cancellation are noticed while idle.
       cv_.wait_for(lock, std::chrono::milliseconds(10));
       continue;
     }
-    auto it = open_.begin();
-    std::shared_ptr<const PNode> node = it->node;
-    open_.erase(it);
+    NodePtr node = *open_.begin();
+    open_.erase(open_.begin());
     if (PruneBoundLocked(node->bound)) {
       EraseOpenBoundLocked(node->bound);
       continue;
     }
-    ++nodes_processed_;
+    const long number = ++nodes_processed_;
     // active_ must count this worker BEFORE the progress emission drops
     // the lock: a sibling seeing open_ empty and active_ == 0 would
     // declare the search exhausted while this node still has children.
     ++active_;
     if (options_.progress_node_interval > 0 &&
-        nodes_processed_ % options_.progress_node_interval == 0) {
+        number % options_.progress_node_interval == 0) {
       EmitProgressLocked(lock, /*announce_incumbent=*/false);
     }
     lock.unlock();
-    ProcessNode(node, bounds, lp_solver);
+    ProcessNode(node, number, bounds, lp_solver);
     lock.lock();
     --active_;
-    cv_.notify_all();
   }
+  stop_ = true;
+  cv_.notify_all();
 }
 
-MipResult ParallelBranchAndBound::Run() {
+MipResult Search::Run() {
   watch_.Reset();
-  MipResult result;
-
   if (options_.initial_solution != nullptr) {
     const std::vector<double>& x0 = *options_.initial_solution;
     if (model_.CheckFeasible(x0, 1e-6).ok()) {
@@ -958,14 +580,20 @@ MipResult ParallelBranchAndBound::Run() {
     }
   }
 
-  auto root = std::make_shared<PNode>();
-  root->bound = -kLpInfinity;
-  root->warm = options_.root_basis;  // cross-request seed; see serial search
-  open_.insert({root->bound, root->id, root});
-  open_bounds_.insert(root->bound);
-
+  // Cross-request seed: the root reoptimizes from a prior solve's terminal
+  // root basis instead of a cold two-phase primal. Mismatches fall back
+  // cold inside NodeLpSolver.
+  auto root = std::make_shared<SearchNode>();
+  root->warm = options_.root_basis;
   {
-    ThreadPool pool(options_.num_threads);
+    std::lock_guard<std::mutex> lock(mu_);
+    PushLocked(std::move(root));
+  }
+
+  if (num_threads_ == 1) {
+    Worker();
+  } else {
+    ThreadPool pool(num_threads_);
     std::vector<std::future<void>> workers;
     workers.reserve(pool.size());
     for (int i = 0; i < pool.size(); ++i) {
@@ -973,270 +601,105 @@ MipResult ParallelBranchAndBound::Run() {
     }
     for (auto& worker : workers) worker.get();
   }
+  return Finish();
+}
 
+MipResult Search::Finish() {
+  // Workers are joined; the lock only keeps the *Locked helpers honest.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (open_target_ > 0) {
+    // Frontier hand-off: nodes the incumbent already proves are dropped
+    // here instead of shipped.
+    for (auto it = open_.begin(); it != open_.end();) {
+      if (!PruneBoundLocked((*it)->bound)) {
+        ++it;
+        continue;
+      }
+      EraseOpenBoundLocked((*it)->bound);
+      it = open_.erase(it);
+    }
+  }
+
+  MipResult result;
   result.seconds = watch_.ElapsedSeconds();
   result.nodes = nodes_processed_;
   result.lp_stats = lp_stats_;
   result.lp_iterations = lp_stats_.total_iterations();
   result.root_basis = root_basis_;
 
-  const bool exhausted_tree = open_.empty();
-  double open_min = kLpInfinity;
-  if (!open_bounds_.empty()) open_min = *open_bounds_.begin();
-  if (exhausted_tree && !limit_hit_ && !any_lp_failure_) {
-    // Externally pruned subtrees were only proven >= the shared bound.
+  // `clean`: the tree emptied with no limit stop and no dropped LP node.
+  // Best bound: min over still-open nodes; a clean tree -> the incumbent,
+  // capped by the external bound where it provided cuts (nodes pruned
+  // against it were only proven >= the external value, not >= ours).
+  const bool clean = open_.empty() && !limit_hit_ && !any_lp_failure_;
+  const double external = ExternalBound(options_);
+  if (clean) {
     double proven = have_incumbent_ ? incumbent_obj_ : kLpInfinity;
-    if (pruned_by_external_) {
-      proven = std::min(proven, ExternalBound(options_));
-    }
+    if (pruned_by_external_) proven = std::min(proven, external);
     result.best_bound = proven;
   } else {
+    const double open_min =
+        open_bounds_.empty() ? kLpInfinity : *open_bounds_.begin();
     result.best_bound = std::isfinite(open_min) ? open_min : root_bound_;
   }
-
   if (have_incumbent_) {
     result.objective = incumbent_obj_;
     result.values = incumbent_;
   }
-  closed_ = closed_ || GapClosedLocked();  // workers joined; lock not needed
-  const bool clean = exhausted_tree && !limit_hit_ && !any_lp_failure_;
-  FinalizeStatus(have_incumbent_, incumbent_obj_, ExternalBound(options_),
-                 clean, closed_, pruned_by_external_, result);
+
+  // Re-check closure: the loop may have ended with the gap closed without
+  // passing the top-of-loop test again. `closed` means the remaining open
+  // bound is within the gap of the effective incumbent min(own, external).
+  closed_ = closed_ || GapClosedLocked();
+  const bool proved = clean || closed_;
+  result.search_exhausted = proved;
+  result.pruned_by_external_bound = pruned_by_external_;
+  if (have_incumbent_) {
+    // Our incumbent is itself proven optimal only if it is the effective
+    // incumbent; otherwise the external bound holder owns the proof.
+    const bool own_effective = incumbent_obj_ <= external;
+    result.status = (proved && (own_effective || !pruned_by_external_))
+                        ? MipStatus::kOptimal
+                        : MipStatus::kFeasible;
+  } else if (proved) {
+    // With external pruning this means "nothing beats the external bound",
+    // which the caller distinguishes via pruned_by_external_bound.
+    result.status = MipStatus::kInfeasible;
+  } else {
+    result.status = MipStatus::kNoSolution;
+  }
   return result;
 }
 
 }  // namespace
 
 MipResult SolveMip(const LpModel& model, const MipOptions& options) {
-  if (options.num_threads > 1) {
-    ParallelBranchAndBound solver(model, options);
-    return solver.Run();
-  }
-  BranchAndBound solver(model, options);
-  return solver.Run();
+  return Search(model, options, options.num_threads).Run();
 }
-
-// ---------------------------------------------------------------------------
-// Frontier expansion (mip/frontier.h): a bounded best-first pass sharing the
-// search's branching rule, warm-start ladder and pruning, stopping once the
-// open set is wide enough to farm out. Lives in this TU so the distributed
-// path cannot diverge from the in-process searches (same NodeLpSolver /
-// MostFractionalVariable / WithinGap helpers).
-// ---------------------------------------------------------------------------
 
 FrontierExpansion ExpandFrontier(const LpModel& model,
                                  const MipOptions& options, int target_units) {
+  Search search(model, options, /*num_threads=*/1,
+                static_cast<size_t>(std::max(target_units, 1)));
   FrontierExpansion out;
-  MipResult& root = out.root;
-  Stopwatch watch;
-  Deadline deadline(options.time_limit_seconds);
-  NodeLpSolver node_lp(model, options);
-
-  // Immutable parent chains, like the parallel search's PNode; fixings are
-  // materialized per emitted unit by walking the chain.
-  struct FNode {
-    std::shared_ptr<const FNode> parent;
-    int var = -1;
-    double lower = 0.0;
-    double upper = 0.0;
-    double bound = -kLpInfinity;
-    std::shared_ptr<const Basis> warm;
-  };
-  struct Entry {
-    double bound;
-    long id;
-    std::shared_ptr<const FNode> node;
-    bool operator<(const Entry& other) const {
-      if (bound != other.bound) return bound < other.bound;
-      return id < other.id;
-    }
-  };
-
-  bool have_incumbent = false;
-  double incumbent_obj = kLpInfinity;
-  std::vector<double> incumbent;
-  auto offer = [&](const std::vector<double>& x) {
-    std::vector<double> rounded = x;
-    for (int j = 0; j < model.num_variables(); ++j) {
-      if (model.variable(j).is_integer) rounded[j] = std::round(rounded[j]);
-    }
-    if (!model.CheckFeasible(rounded, 1e-5).ok()) return;
-    const double objective = model.EvaluateObjective(rounded);
-    if (have_incumbent && objective >= incumbent_obj) return;
-    have_incumbent = true;
-    incumbent_obj = objective;
-    incumbent = std::move(rounded);
-  };
-  if (options.initial_solution != nullptr) {
-    offer(*options.initial_solution);
-  }
-
-  std::set<Entry> open;
-  long next_id = 0;
-  {
-    auto root_node = std::make_shared<FNode>();
-    root_node->warm = options.root_basis;
-    open.insert({root_node->bound, next_id++, root_node});
-  }
-
+  out.root = search.Run();
+  out.clean = !search.any_lp_failure();
+  // Each open node becomes a unit: its fixings are the columns whose
+  // materialized bounds differ from the model's own.
   std::vector<std::pair<double, double>> bounds(model.num_variables());
-  bool any_lp_failure = false;
-  double root_bound = -kLpInfinity;
-  const int unit_target = std::max(target_units, 1);
-  bool first_node = true;
-
-  while (!open.empty() && static_cast<int>(open.size()) < unit_target) {
-    if (deadline.Expired() || Cancelled(options) ||
-        (options.max_nodes > 0 && root.nodes >= options.max_nodes)) {
-      break;  // hand off whatever is open
-    }
-    auto it = open.begin();
-    std::shared_ptr<const FNode> node = it->node;
-    open.erase(it);
-    if (have_incumbent &&
-        WithinGap(incumbent_obj, node->bound, options.relative_gap)) {
-      continue;
-    }
-
-    ++root.nodes;
-    BnbNodesTotal().Increment();
-    Span node_span("frontier_node", "mip", ObsLevel::kFull);
-    node_span.AddArg("bound", node->bound);
-
-    for (int j = 0; j < model.num_variables(); ++j) {
-      bounds[j] = {model.variable(j).lower, model.variable(j).upper};
-    }
-    for (const FNode* n = node.get(); n != nullptr; n = n->parent.get()) {
-      if (n->var < 0) continue;
-      bounds[n->var].first = std::max(bounds[n->var].first, n->lower);
-      bounds[n->var].second = std::min(bounds[n->var].second, n->upper);
-    }
-
-    LpSolveStats delta;
-    LpResult lp = node_lp.Solve(bounds, node->warm.get(),
-                                NodeLpBudget(deadline, options), delta);
-    root.lp_stats.Add(delta);
-    if (lp.status == LpStatus::kInfeasible) continue;
-    if (lp.status == LpStatus::kUnbounded) {
-      VPART_LOG(Warning) << "LP relaxation unbounded at frontier node";
-      continue;
-    }
-    if (lp.status != LpStatus::kOptimal) {
-      any_lp_failure = true;
-      continue;
-    }
-    if (first_node) {
-      first_node = false;
-      root_bound = lp.objective;
-      if (node_lp.warm_enabled()) {
-        Basis saved = node_lp.SaveBasis();
-        if (saved.valid()) {
-          root.root_basis = std::make_shared<const Basis>(std::move(saved));
-        }
-      }
-    }
-    if (have_incumbent &&
-        WithinGap(incumbent_obj, lp.objective, options.relative_gap)) {
-      continue;
-    }
-
-    const int branch_var =
-        MostFractionalVariable(model, options.integrality_tol, lp.values);
-    if (branch_var < 0) {
-      offer(lp.values);
-      continue;
-    }
-
-    std::shared_ptr<const Basis> child_warm;
-    if (node_lp.warm_enabled()) {
-      Basis saved = node_lp.SaveBasis();
-      if (saved.valid()) {
-        child_warm = std::make_shared<const Basis>(std::move(saved));
-      }
-    }
-
-    const double value = lp.values[branch_var];
-    const double floor_value = std::floor(value);
-
-    auto down = std::make_shared<FNode>();
-    down->parent = node;
-    down->var = branch_var;
-    down->lower = bounds[branch_var].first;
-    down->upper = floor_value;
-    down->bound = lp.objective;
-    down->warm = child_warm;
-
-    auto up = std::make_shared<FNode>();
-    up->parent = node;
-    up->var = branch_var;
-    up->lower = floor_value + 1.0;
-    up->upper = bounds[branch_var].second;
-    up->bound = lp.objective;
-    up->warm = child_warm;
-
-    // The LP-preferred child gets the smaller id, mirroring the searches'
-    // plunge order under equal bounds.
-    const bool prefer_up = (value - floor_value) > 0.5;
-    open.insert({lp.objective, next_id++, prefer_up ? up : down});
-    open.insert({lp.objective, next_id++, prefer_up ? down : up});
-  }
-
-  // Emit the surviving open nodes as units; nodes the incumbent found later
-  // in the expansion already proves are dropped here instead of shipped.
-  for (const Entry& entry : open) {
-    if (have_incumbent &&
-        WithinGap(incumbent_obj, entry.bound, options.relative_gap)) {
-      continue;
-    }
+  for (const NodePtr& node : search.open()) {
     FrontierUnit unit;
-    unit.id = entry.id;
-    unit.bound = std::isfinite(entry.bound) ? entry.bound : root_bound;
-    unit.basis = entry.node->warm;
-    // Per-column intersection of the chain's tightenings (each column is
-    // tightened monotonically, so intersecting is exact).
-    std::map<int, std::pair<double, double>> fixed;
-    for (const FNode* n = entry.node.get(); n != nullptr;
-         n = n->parent.get()) {
-      if (n->var < 0) continue;
-      auto [pos, inserted] =
-          fixed.emplace(n->var, std::make_pair(n->lower, n->upper));
-      if (!inserted) {
-        pos->second.first = std::max(pos->second.first, n->lower);
-        pos->second.second = std::min(pos->second.second, n->upper);
+    unit.id = node->id;
+    unit.bound = node->bound;
+    unit.basis = node->warm;
+    MaterializeBounds(model, *node, bounds);
+    for (int j = 0; j < model.num_variables(); ++j) {
+      if (bounds[j].first != model.variable(j).lower ||
+          bounds[j].second != model.variable(j).upper) {
+        unit.fixings.push_back({j, bounds[j].first, bounds[j].second});
       }
-    }
-    unit.fixings.reserve(fixed.size());
-    for (const auto& [column, range] : fixed) {
-      unit.fixings.push_back({column, range.first, range.second});
     }
     out.units.push_back(std::move(unit));
-  }
-
-  out.clean = !any_lp_failure;
-  root.seconds = watch.ElapsedSeconds();
-  root.lp_iterations = root.lp_stats.total_iterations();
-  if (have_incumbent) {
-    root.objective = incumbent_obj;
-    root.values = incumbent;
-  }
-  if (out.units.empty()) {
-    // Nothing to delegate: the expansion itself closed the tree (or dropped
-    // subtrees — then `clean` is false and no optimality is claimed).
-    root.best_bound = (out.clean && have_incumbent)
-                          ? incumbent_obj
-                          : (std::isfinite(root_bound) ? root_bound
-                                                       : -kLpInfinity);
-    FinalizeStatus(have_incumbent, incumbent_obj, kLpInfinity, out.clean,
-                   /*closed=*/false, /*pruned_by_external=*/false, root);
-  } else {
-    double open_min = kLpInfinity;
-    for (const FrontierUnit& unit : out.units) {
-      open_min = std::min(open_min, unit.bound);
-    }
-    root.best_bound = std::isfinite(open_min) ? open_min : root_bound;
-    root.search_exhausted = false;
-    root.status =
-        have_incumbent ? MipStatus::kFeasible : MipStatus::kNoSolution;
   }
   return out;
 }

@@ -71,10 +71,12 @@ struct MipOptions {
   /// root and periodically until an incumbent exists. Cheap primal
   /// heuristic standing in for the ones inside industrial solvers.
   bool enable_dive = true;
-  /// Tree-search workers. 1 keeps the classic depth-first serial search;
-  /// > 1 fans subproblem nodes out to a pool over a mutex-guarded
-  /// best-first queue with an atomic incumbent. The proven objective value
-  /// is thread-count-independent (see DESIGN.md's determinism contract).
+  /// Tree-search workers. The search core is one loop either way: with 1 it
+  /// runs inline on the caller's thread and plunges depth-first (the
+  /// LP-preferred child next); with > 1 it runs on that many pool workers
+  /// over one mutex-guarded best-first (bound, id) open set and a shared
+  /// incumbent. The proven objective value is thread-count-independent (see
+  /// DESIGN.md's determinism contract).
   int num_threads = 1;
   /// Externally shared incumbent objective (e.g. a racing SA solver's best,
   /// in the model's own objective space). Nodes whose relaxation cannot
@@ -128,9 +130,12 @@ struct MipResult {
   double GapPercent() const;
 };
 
-/// Solves min c·x over `model` with branch & bound: depth-first plunging on
-/// the most fractional binary, LP relaxations via SolveLp with per-node
-/// bound overrides, best-bound tracking for the gap criterion.
+/// Solves min c·x over `model` with branch & bound: branching on the most
+/// fractional integer variable, node LPs on a reused SimplexSolver that
+/// reoptimizes each child from its parent's basis (cold fallback), a rounding
+/// dive for early incumbents, and best-bound tracking for the gap criterion.
+/// options.num_threads picks the pop order and the executor of the one
+/// search core (see MipOptions::num_threads).
 MipResult SolveMip(const LpModel& model, const MipOptions& options = {});
 
 }  // namespace vpart

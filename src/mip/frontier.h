@@ -8,9 +8,9 @@
 
 namespace vpart {
 
-/// Frontier expansion for distributed subtree solving (src/dist/): a short
-/// serial best-first branch & bound run over the root that stops once the
-/// open set holds `target_units` nodes, then hands those nodes off as
+/// Frontier expansion for distributed subtree solving (src/dist/): SolveMip's
+/// search core, run single-threaded best-first from the root until the open
+/// set holds `target_units` nodes, then hands those nodes off as
 /// self-contained work units. Each unit is a subtree root described by the
 /// branching fixings that reach it — a set of per-column bound tightenings
 /// over the original model — plus its parent's LP bound and optimal basis,
@@ -60,9 +60,11 @@ struct FrontierExpansion {
 };
 
 /// Expands the tree best-first until `target_units` nodes are open (or the
-/// tree is exhausted / a limit from `options` fires). Honors
-/// options.initial_solution, root_basis, time_limit_seconds, cancel_flag
-/// and relative_gap; runs serially regardless of options.num_threads.
+/// tree is exhausted / a limit from `options` fires). Runs SolveMip's node
+/// rules, so it honors every MipOptions field — initial_solution,
+/// root_basis, enable_dive, external_upper_bound, time_limit_seconds,
+/// max_nodes, cancel_flag, relative_gap, progress — except num_threads: it
+/// always runs on the caller's thread.
 FrontierExpansion ExpandFrontier(const LpModel& model,
                                  const MipOptions& options, int target_units);
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "mip/branch_and_bound.h"
+#include "mip/frontier.h"
 #include "util/rng.h"
 
 namespace vpart {
@@ -10,12 +13,67 @@ namespace {
 
 constexpr double kTol = 1e-6;
 
-MipOptions Exact() {
+/// The search core runs inline plunging on one thread and pooled best-first
+/// on several; tests that take this list run under both.
+constexpr int kThreadCounts[] = {1, 4};
+
+MipOptions Exact(int num_threads = 1) {
   MipOptions options;
   options.relative_gap = 0.0;
   options.time_limit_seconds = 30;
+  options.num_threads = num_threads;
   return options;
 }
+
+std::string ThreadsTrace(int num_threads) {
+  return "num_threads=" + std::to_string(num_threads);
+}
+
+/// Random 0/1 program min c.x s.t. rows.x <= rhs with non-negative rows and
+/// right-hand sides (so x = 0 is always feasible), plus its brute-force
+/// optimum.
+struct RandomBinaryProgram {
+  RandomBinaryProgram(Rng& rng, int min_vars) {
+    const int n = min_vars + static_cast<int>(rng.NextBounded(5));
+    std::vector<double> obj(n);
+    for (int j = 0; j < n; ++j) {
+      obj[j] = std::round((rng.NextDouble() * 20 - 10) * 4) / 4;
+      model.AddBinaryVariable(obj[j]);
+    }
+    const int m = 1 + static_cast<int>(rng.NextBounded(3));
+    std::vector<std::vector<double>> rows(m, std::vector<double>(n));
+    std::vector<double> rhs(m);
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < n; ++j) {
+        rows[i][j] = std::round(rng.NextDouble() * 5 * 2) / 2;
+      }
+      rhs[i] = std::round(rng.NextDouble() * n * 2.5 * 2) / 2;
+      std::vector<std::pair<int, double>> terms;
+      for (int j = 0; j < n; ++j) terms.emplace_back(j, rows[i][j]);
+      model.AddConstraint(ConstraintSense::kLessEqual, rhs[i],
+                          std::move(terms));
+    }
+    for (int mask = 0; mask < (1 << n); ++mask) {
+      bool ok = true;
+      for (int i = 0; i < m && ok; ++i) {
+        double lhs = 0;
+        for (int j = 0; j < n; ++j) {
+          if (mask & (1 << j)) lhs += rows[i][j];
+        }
+        ok = lhs <= rhs[i] + 1e-9;
+      }
+      if (!ok) continue;
+      double value = 0;
+      for (int j = 0; j < n; ++j) {
+        if (mask & (1 << j)) value += obj[j];
+      }
+      optimum = std::min(optimum, value);
+    }
+  }
+
+  LpModel model;
+  double optimum = 1e18;
+};
 
 // 0/1 knapsack: max 10x0+13x1+7x2+8x3 s.t. 3x0+4x1+2x2+3x3 <= 7.
 // Optimum: {x0, x1} with weight 7 and value 23.
@@ -36,7 +94,7 @@ TEST(MipTest, KnapsackOptimum) {
 
 // Assignment problem (3x3), cost matrix with known optimum 5+3+4? rows to
 // columns: c = [[5,9,1],[10,3,2],[8,7,4]] -> optimal 1 + 3 + 8 = 12.
-TEST(MipTest, AssignmentProblem) {
+LpModel AssignmentModel() {
   const double c[3][3] = {{5, 9, 1}, {10, 3, 2}, {8, 7, 4}};
   LpModel model;
   int v[3][3];
@@ -49,7 +107,11 @@ TEST(MipTest, AssignmentProblem) {
     model.AddConstraint(ConstraintSense::kEqual, 1,
                         {{v[0][i], 1}, {v[1][i], 1}, {v[2][i], 1}});
   }
-  MipResult result = SolveMip(model, Exact());
+  return model;
+}
+
+TEST(MipTest, AssignmentProblem) {
+  MipResult result = SolveMip(AssignmentModel(), Exact());
   ASSERT_EQ(result.status, MipStatus::kOptimal);
   EXPECT_NEAR(result.objective, 12, kTol);
 }
@@ -134,15 +196,18 @@ TEST(MipTest, NodeLimitReportsIncumbentAsFeasible) {
   model.AddConstraint(ConstraintSense::kLessEqual, 7,
                       {{x0, 3}, {x1, 4}, {x2, 2}, {x3, 3}});
   std::vector<double> warm = {1, 0, 1, 0};
-  MipOptions options = Exact();
-  options.max_nodes = 1;
-  options.enable_dive = false;  // keep the warm start the only incumbent
-  options.initial_solution = &warm;
-  MipResult result = SolveMip(model, options);
-  EXPECT_EQ(result.status, MipStatus::kFeasible);
-  EXPECT_TRUE(result.has_incumbent());
-  EXPECT_NEAR(result.objective, -17, kTol);
-  EXPECT_GT(result.GapPercent(), 0.0);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(ThreadsTrace(threads));
+    MipOptions options = Exact(threads);
+    options.max_nodes = 1;
+    options.enable_dive = false;  // keep the warm start the only incumbent
+    options.initial_solution = &warm;
+    MipResult result = SolveMip(model, options);
+    EXPECT_EQ(result.status, MipStatus::kFeasible);
+    EXPECT_TRUE(result.has_incumbent());
+    EXPECT_NEAR(result.objective, -17, kTol);
+    EXPECT_GT(result.GapPercent(), 0.0);
+  }
 }
 
 TEST(MipTest, RootDiveFindsIncumbentWithoutWarmStart) {
@@ -179,10 +244,13 @@ TEST(MipTest, GapToleranceStopsEarly) {
   int x0 = model.AddBinaryVariable(-10);
   int x1 = model.AddBinaryVariable(-13);
   model.AddConstraint(ConstraintSense::kLessEqual, 4, {{x0, 3}, {x1, 4}});
-  MipOptions options = Exact();
-  options.relative_gap = 0.9;
-  MipResult result = SolveMip(model, options);
-  EXPECT_TRUE(result.has_incumbent());
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(ThreadsTrace(threads));
+    MipOptions options = Exact(threads);
+    options.relative_gap = 0.9;
+    MipResult result = SolveMip(model, options);
+    EXPECT_TRUE(result.has_incumbent());
+  }
 }
 
 TEST(MipTest, WarmStartTelemetryIsPopulated) {
@@ -193,15 +261,18 @@ TEST(MipTest, WarmStartTelemetryIsPopulated) {
   int x3 = model.AddBinaryVariable(-8);
   model.AddConstraint(ConstraintSense::kLessEqual, 7,
                       {{x0, 3}, {x1, 4}, {x2, 2}, {x3, 3}});
-  MipResult result = SolveMip(model, Exact());
-  ASSERT_EQ(result.status, MipStatus::kOptimal);
-  // Every node LP is accounted for, the root is cold, children reoptimize
-  // off the parent basis, and lp_iterations mirrors the stats totals.
-  EXPECT_GT(result.lp_stats.lp_solves, 0);
-  EXPECT_GE(result.lp_stats.cold_starts, 1);
-  EXPECT_GT(result.lp_stats.warm_starts, 0);
-  EXPECT_EQ(result.lp_iterations, result.lp_stats.total_iterations());
-  EXPECT_GT(result.lp_stats.lp_seconds, 0.0);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(ThreadsTrace(threads));
+    MipResult result = SolveMip(model, Exact(threads));
+    ASSERT_EQ(result.status, MipStatus::kOptimal);
+    // Every node LP is accounted for, the root is cold, children reoptimize
+    // off the parent basis, and lp_iterations mirrors the stats totals.
+    EXPECT_GT(result.lp_stats.lp_solves, 0);
+    EXPECT_GE(result.lp_stats.cold_starts, 1);
+    EXPECT_GT(result.lp_stats.warm_starts, 0);
+    EXPECT_EQ(result.lp_iterations, result.lp_stats.total_iterations());
+    EXPECT_GT(result.lp_stats.lp_seconds, 0.0);
+  }
 }
 
 TEST(MipTest, ColdModeDisablesWarmStarts) {
@@ -224,30 +295,18 @@ TEST(MipTest, ColdModeDisablesWarmStarts) {
 TEST(MipTest, WarmAndColdSearchesAgreeOnRandomInstances) {
   Rng rng(271828);
   for (int trial = 0; trial < 20; ++trial) {
-    const int n = 3 + static_cast<int>(rng.NextBounded(5));
-    LpModel model;
-    for (int j = 0; j < n; ++j) {
-      model.AddBinaryVariable(std::round((rng.NextDouble() * 20 - 10) * 4) /
-                              4);
-    }
-    const int m = 1 + static_cast<int>(rng.NextBounded(3));
-    for (int i = 0; i < m; ++i) {
-      std::vector<std::pair<int, double>> terms;
-      for (int j = 0; j < n; ++j) {
-        terms.emplace_back(j, std::round(rng.NextDouble() * 5 * 2) / 2);
+    RandomBinaryProgram program(rng, /*min_vars=*/3);
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE(ThreadsTrace(threads));
+      MipOptions warm_options = Exact(threads);
+      MipOptions cold_options = Exact(threads);
+      cold_options.use_warm_start = false;
+      MipResult warm = SolveMip(program.model, warm_options);
+      MipResult cold = SolveMip(program.model, cold_options);
+      ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
+      if (warm.has_incumbent()) {
+        EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << "trial " << trial;
       }
-      model.AddConstraint(ConstraintSense::kLessEqual,
-                          std::round(rng.NextDouble() * n * 2.5 * 2) / 2,
-                          std::move(terms));
-    }
-    MipOptions warm_options = Exact();
-    MipOptions cold_options = Exact();
-    cold_options.use_warm_start = false;
-    MipResult warm = SolveMip(model, warm_options);
-    MipResult cold = SolveMip(model, cold_options);
-    ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
-    if (warm.has_incumbent()) {
-      EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << "trial " << trial;
     }
   }
 }
@@ -256,48 +315,67 @@ TEST(MipTest, WarmAndColdSearchesAgreeOnRandomInstances) {
 TEST(MipTest, MatchesBruteForceOnRandomInstances) {
   Rng rng(99);
   for (int trial = 0; trial < 25; ++trial) {
-    const int n = 2 + static_cast<int>(rng.NextBounded(5));  // up to 6 vars
-    LpModel model;
-    std::vector<double> obj(n);
-    for (int j = 0; j < n; ++j) {
-      obj[j] = std::round((rng.NextDouble() * 20 - 10) * 4) / 4;
-      model.AddBinaryVariable(obj[j]);
+    RandomBinaryProgram program(rng, /*min_vars=*/2);
+    for (int threads : kThreadCounts) {
+      SCOPED_TRACE(ThreadsTrace(threads));
+      MipResult result = SolveMip(program.model, Exact(threads));
+      ASSERT_EQ(result.status, MipStatus::kOptimal) << "trial " << trial;
+      EXPECT_NEAR(result.objective, program.optimum, 1e-5) << "trial " << trial;
     }
-    const int m = 1 + static_cast<int>(rng.NextBounded(3));
-    std::vector<std::vector<double>> rows(m, std::vector<double>(n));
-    std::vector<double> rhs(m);
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n; ++j) {
-        rows[i][j] = std::round(rng.NextDouble() * 5 * 2) / 2;
-      }
-      rhs[i] = std::round(rng.NextDouble() * n * 2.5 * 2) / 2;
-      std::vector<std::pair<int, double>> terms;
-      for (int j = 0; j < n; ++j) terms.emplace_back(j, rows[i][j]);
-      model.AddConstraint(ConstraintSense::kLessEqual, rhs[i],
-                          std::move(terms));
-    }
-    // Brute force.
-    double best = 1e18;
-    for (int mask = 0; mask < (1 << n); ++mask) {
-      bool ok = true;
-      for (int i = 0; i < m && ok; ++i) {
-        double lhs = 0;
-        for (int j = 0; j < n; ++j) {
-          if (mask & (1 << j)) lhs += rows[i][j];
-        }
-        ok = lhs <= rhs[i] + 1e-9;
-      }
-      if (!ok) continue;
-      double value = 0;
-      for (int j = 0; j < n; ++j) {
-        if (mask & (1 << j)) value += obj[j];
-      }
-      best = std::min(best, value);
-    }
-    MipResult result = SolveMip(model, Exact());
-    ASSERT_EQ(result.status, MipStatus::kOptimal) << "trial " << trial;
-    EXPECT_NEAR(result.objective, best, 1e-5) << "trial " << trial;
   }
+}
+
+// The frontier's units, each solved with its fixings applied and its parent
+// basis as the root seed, cover what the expansion left open: together with
+// the expansion's own incumbent they reach the brute-force optimum.
+TEST(MipTest, ExpandFrontierUnitsCoverTheSearchSpace) {
+  Rng rng(99);
+  int branched_units = 0;
+  for (int trial = 0; trial < 25; ++trial) {
+    RandomBinaryProgram program(rng, /*min_vars=*/2);
+    for (int target : {1, 3, 8}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " target " +
+                   std::to_string(target));
+      FrontierExpansion expansion = ExpandFrontier(program.model, Exact(),
+                                                   target);
+      ASSERT_TRUE(expansion.clean);
+      if (target == 1) {
+        ASSERT_EQ(expansion.units.size(), 1u);
+        EXPECT_TRUE(expansion.units[0].fixings.empty());
+      }
+      double best = expansion.root.has_incumbent() ? expansion.root.objective
+                                                   : kLpInfinity;
+      for (const FrontierUnit& unit : expansion.units) {
+        if (!unit.fixings.empty()) ++branched_units;
+        LpModel subtree = program.model;
+        for (const BoundFix& fix : unit.fixings) {
+          subtree.SetVariableBounds(fix.column, fix.lower, fix.upper);
+        }
+        MipOptions options = Exact();
+        options.root_basis = unit.basis;
+        MipResult result = SolveMip(subtree, options);
+        ASSERT_TRUE(result.search_exhausted);
+        if (!result.has_incumbent()) continue;
+        // The shipped parent bound is valid for everything in the subtree.
+        EXPECT_GE(result.objective, unit.bound - 1e-6);
+        best = std::min(best, result.objective);
+      }
+      EXPECT_NEAR(best, program.optimum, 1e-5);
+    }
+  }
+  // The instances are hard enough that some expansions really branch.
+  EXPECT_GT(branched_units, 0);
+}
+
+TEST(MipTest, ExpandFrontierClosesAnIntegralRoot) {
+  // Assignment polytopes are integral, so the root LP already solves the
+  // program and nothing is left to hand off.
+  FrontierExpansion expansion = ExpandFrontier(AssignmentModel(), Exact(), 8);
+  EXPECT_TRUE(expansion.units.empty());
+  EXPECT_TRUE(expansion.clean);
+  EXPECT_TRUE(expansion.root.search_exhausted);
+  EXPECT_EQ(expansion.root.status, MipStatus::kOptimal);
+  EXPECT_NEAR(expansion.root.objective, 12, kTol);
 }
 
 }  // namespace
