@@ -16,8 +16,10 @@ namespace vpart {
 ///   kCheap  basis-header consistency on LoadBasis + a residual check
 ///           ‖A·x − b‖∞ after every refactorization
 ///   kFull   kCheap plus a residual check every
-///           SimplexOptions::audit_ft_interval Forrest–Tomlin updates and
-///           devex / dual-steepest-edge weight positivity at solve end
+///           SimplexOptions::audit_ft_interval Forrest–Tomlin updates,
+///           devex / dual-steepest-edge weight positivity at solve end,
+///           and, when the dual simplex claims optimality, its cached
+///           per-row infeasibilities against a recomputation
 enum class AuditLevel { kOff, kCheap, kFull };
 
 /// "off" / "cheap" / "full".

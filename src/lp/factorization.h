@@ -6,6 +6,27 @@
 
 namespace vpart {
 
+/// A dense value array with an explicit nonzero pattern: every entry of
+/// `value` not listed in `index` is exactly zero. Listed entries may still
+/// be zero (a cancellation), and only solver outputs promise a list
+/// without repeats. Kernels loop over `index` instead of the full length,
+/// so their cost follows the vector's nonzeros.
+struct SparseVector {
+  std::vector<double> value;
+  std::vector<int> index;
+
+  /// Resizes to n entries, all zero.
+  void Reset(int n) {
+    value.assign(n, 0.0);
+    index.clear();
+  }
+  /// Zeroes the listed entries: O(listed), not O(n).
+  void Clear() {
+    for (int i : index) value[i] = 0.0;
+    index.clear();
+  }
+};
+
 /// Sparse LU factorization of a simplex basis with Forrest–Tomlin updates.
 ///
 /// `Factorize()` computes B = L·U by right-looking Gaussian elimination with
@@ -41,6 +62,17 @@ namespace vpart {
 /// variable at position k); BTRAN maps a position-space cost vector to the
 /// row-space multipliers pi of Bᵀpi = c. See src/lp/README.md for a worked
 /// example.
+///
+/// Both solves skip zeros and return their result's nonzero pattern
+/// (SparseVector), so their cost follows the nonzeros they touch. FTRAN
+/// runs the column etas and U in scatter form. BTRAN follows the nonzeros
+/// through the row-wise copy of U (urows_) and a row-wise copy of the
+/// column etas built by Factorize(), and evaluates only the entries they
+/// reach, each as the dot product a dense solve would form, in the same
+/// order: the result is bit-identical to a dense BTRAN, and a unit-vector
+/// BTRAN (a dual pivot row) stays hyper-sparse. Factorize() keeps its
+/// workspaces as members and allocates nothing once warmed up; Update()
+/// allocates only when a factor list outgrows its capacity.
 ///
 /// Not thread-safe; one instance per SimplexSolver.
 class LuFactorization {
@@ -97,11 +129,24 @@ class LuFactorization {
               const std::vector<int>& row_index,
               const std::vector<double>& value, int entering, int pos);
 
-  /// w (row space, size m) := B⁻¹w (position space). No-op when !valid().
-  void Ftran(std::vector<double>& w) const;
+  /// Solves Bx = b. On entry `rhs.value` holds b (row space, size m; the
+  /// index list is ignored); on return it holds x (position space) and
+  /// `rhs.index` lists x's nonzeros. No-op when !valid().
+  void Ftran(SparseVector& rhs) const;
 
-  /// v (position space, size m) := B⁻ᵀv (row space). No-op when !valid().
-  void Btran(std::vector<double>& v) const;
+  /// Ftran() of CSC column `j` (the entering column of a pivot): `out`
+  /// receives B⁻¹a_j and its index list. The spike L⁻¹a_j is kept, and the
+  /// next Update() with entering column j uses it instead of recomputing
+  /// it. With !valid(), `out` receives a_j itself (row space).
+  void FtranColumn(const std::vector<int>& col_start,
+                   const std::vector<int>& row_index,
+                   const std::vector<double>& value, int j,
+                   SparseVector& out);
+
+  /// Solves Bᵀπ = c. On entry `rhs.value` holds c (position space, size m;
+  /// the index list is ignored); on return it holds π (row space) and
+  /// `rhs.index` lists π's nonzeros. No-op when !valid().
+  void Btran(SparseVector& rhs) const;
 
   /// True between a successful Factorize() and the first rejected Update().
   bool valid() const { return valid_; }
@@ -120,7 +165,11 @@ class LuFactorization {
   bool NeedsRefactorization();
 
   int num_rows() const { return num_rows_; }
-  /// Nonzeros currently held across L, the update etas, and U.
+  /// Nonzeros currently held across L, the update etas, and U (diagonals
+  /// included): a running count kept by Factorize() and Update(), O(1).
+  long nonzeros() const { return nonzeros_; }
+  /// The same count recomputed by walking every factor structure,
+  /// O(nonzeros); checks nonzeros().
   long factor_nonzeros() const;
   int updates_since_factorize() const { return updates_; }
 
@@ -128,27 +177,33 @@ class LuFactorization {
   void ResetStats() { stats_.Reset(); }
 
  private:
-  /// One elementary transformation of the left factor, applied to row-space
-  /// vectors during FTRAN (and transposed, in reverse, during BTRAN).
-  ///  * kColumn (from Factorize): w[row] /= pivot; w[i] -= v_i * w[row] —
-  ///    the classic Gauss column elimination, pivot kept explicit.
-  ///  * kRow (from Update): w[row] -= sum_i v_i * w[i] — the Forrest–Tomlin
-  ///    row elimination folded into the left factor.
-  struct EtaOp {
-    enum class Kind : uint8_t { kColumn, kRow };
-    Kind kind = Kind::kColumn;
-    int row = -1;
-    double pivot = 1.0;  // kColumn only
-    std::vector<std::pair<int, double>> entries;
-  };
-
   void Clear();
+  /// Picks the Markowitz pivot of the active submatrix (see Factorize()).
+  /// Returns false when no entry qualifies (numerically singular).
+  bool SelectPivot(int& row, int& col);
+  /// Files active position k in the bucket of its current column count.
+  void Refile(int k);
+  /// Applies the left factor (column etas, then row etas) to the row-space
+  /// vector w in place. With kTrackSupport, appends every entry that turns
+  /// nonzero to `support` (a superset of the result's pattern, repeats
+  /// possible).
+  template <bool kTrackSupport>
+  void ApplyLeftFactor(std::vector<double>& w,
+                       std::vector<int>* support) const;
+  /// Back substitution on U: turns the row-space vector L⁻¹b in
+  /// `rhs.value` into x = B⁻¹b (position space) and lists x's nonzeros.
+  void SolveUpper(SparseVector& rhs) const;
   /// Scatters CSC column `j` into workspace_ and applies the left factor
-  /// (partial FTRAN); the result is the spike L⁻¹a_j. Returns its support.
+  /// (partial FTRAN); the result is the spike L⁻¹a_j, its support in
+  /// support_, and spike_column_ = j.
   void PartialFtran(const std::vector<int>& col_start,
                     const std::vector<int>& row_index,
-                    const std::vector<double>& value, int j,
-                    std::vector<int>& support) const;
+                    const std::vector<double>& value, int j);
+  /// Zeroes a kept spike so workspace_ is all-zero again.
+  void DiscardSpike();
+  /// Builds active_column_etas_ and the row-wise copy of the column etas
+  /// used by Btran().
+  void BuildLeftRows();
   void RemoveRowEntry(int row, int pos);
   void RemoveColEntry(int pos, int row);
 
@@ -156,11 +211,30 @@ class LuFactorization {
   int num_rows_ = 0;
   bool valid_ = false;
   int updates_ = 0;
+  long nonzeros_ = 0;        // running count, see nonzeros()
   long fresh_nonzeros_ = 0;  // L + U nnz right after Factorize()
   Stats stats_;
 
-  // Left factor: column etas from Factorize, then row etas from updates.
-  std::vector<EtaOp> etas_;
+  // Left factor: etas in application order, flat. Eta e has pivot row
+  // eta_row_[e] and entries (eta_index_, eta_value_)[eta_start_[e] ..
+  // eta_start_[e+1]). Etas [0, m) are the column etas of Factorize():
+  //   w[row] /= eta_pivot_[e]; w[i] -= v_i * w[row]
+  // (the classic Gauss column elimination, pivot kept explicit). Etas from
+  // m on are the row etas appended by Update():
+  //   w[row] -= sum_i v_i * w[i]
+  // (the Forrest–Tomlin row elimination folded into the left factor).
+  std::vector<int> eta_row_;
+  std::vector<double> eta_pivot_;  // column etas only
+  std::vector<int> eta_start_;
+  std::vector<int> eta_index_;
+  std::vector<double> eta_value_;
+  // The column etas FTRAN must apply (see BuildLeftRows()), in order.
+  std::vector<int> active_column_etas_;
+  // Row-wise copy of the column etas' pattern, for BTRAN: row r lists in
+  // lrow_target_[lrow_start_[r] .. lrow_start_[r+1]) the pivot row of every
+  // column eta with an entry at row r.
+  std::vector<int> lrow_start_;
+  std::vector<int> lrow_target_;
 
   // U, triangular in the elimination order `order_`:
   //  order_[t]   = basis position pivoted at step t
@@ -177,11 +251,39 @@ class LuFactorization {
   std::vector<std::vector<std::pair<int, double>>> urows_;
 
   // Scratch, sized to num_rows_. workspace_ (row space) and rowwork_
-  // (position space) are kept all-zero between uses; solve_ holds the last
-  // FTRAN/BTRAN solution and must never be assumed clean.
+  // (position space) are kept all-zero between uses; solve_ is swapped
+  // with the caller's vector by FTRAN/BTRAN and must never be assumed
+  // clean.
   mutable std::vector<double> workspace_;
   mutable std::vector<double> solve_;
   std::vector<double> rowwork_;
+  std::vector<int> support_;
+  int spike_column_ = -1;  // column whose spike workspace_ holds, or -1
+  // BTRAN's sparsity marks: an entry is live in the current solve when its
+  // mark equals epoch_ (bumped per solve, so marks never need clearing);
+  // live_pos_ is indexed by basis position (Uᵀ), live_row_ by row (Lᵀ).
+  // row_bits_ collects the result's nonzero rows.
+  mutable std::vector<uint32_t> live_pos_;
+  mutable std::vector<uint32_t> live_row_;
+  mutable uint32_t epoch_ = 0;
+  mutable std::vector<uint64_t> row_bits_;
+  std::vector<std::pair<int, double>> row_entries_;
+  std::vector<std::pair<int, int>> heap_;  // (order index, position)
+
+  // Factorize() workspaces: the active submatrix column-wise over basis
+  // positions, a superset of the positions touching each row, active
+  // counts, pivot marks and the Markowitz count buckets. Cleared, never
+  // reallocated, between calls.
+  std::vector<std::vector<std::pair<int, double>>> acols_;
+  std::vector<std::vector<int>> row_cols_;
+  std::vector<int> col_count_;
+  std::vector<int> row_count_;
+  std::vector<uint8_t> pivoted_row_;
+  std::vector<uint8_t> pivoted_col_;
+  std::vector<std::vector<int>> buckets_;
+  std::vector<int> filed_count_;
+  std::vector<uint8_t> present_;
+  std::vector<int> touched_;
 };
 
 }  // namespace vpart

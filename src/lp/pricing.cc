@@ -9,14 +9,14 @@ void DevexPricing::Reset(int num_cols) {
   weights_.assign(num_cols, 1.0);
 }
 
-void DevexPricing::UpdateOnPivot(const std::vector<double>& alpha_row,
-                                 int entering, double alpha_q, int leaving) {
+void DevexPricing::UpdateOnPivot(const SparseVector& alpha_row, int entering,
+                                 double alpha_q, int leaving) {
   if (alpha_q == 0.0) return;
   const double wq = weights_[entering];
   const double inv_sq = 1.0 / (alpha_q * alpha_q);
   double max_weight = 0.0;
-  for (size_t j = 0; j < alpha_row.size(); ++j) {
-    const double a = alpha_row[j];
+  for (int j : alpha_row.index) {
+    const double a = alpha_row.value[j];
     if (a == 0.0) continue;
     const double candidate = a * a * inv_sq * wq;
     if (candidate > weights_[j]) weights_[j] = candidate;
@@ -33,15 +33,16 @@ void DualSteepestEdgePricing::Reset(int num_rows) {
   weights_.assign(num_rows, 1.0);
 }
 
-void DualSteepestEdgePricing::UpdateOnPivot(const std::vector<double>& w,
-                                            int r, double alpha_r) {
+void DualSteepestEdgePricing::UpdateOnPivot(const SparseVector& w, int r,
+                                            double alpha_r) {
   if (alpha_r == 0.0) return;
   const double gr = weights_[r];
   const double inv_sq = 1.0 / (alpha_r * alpha_r);
   double max_weight = 0.0;
-  for (size_t i = 0; i < w.size(); ++i) {
-    if (static_cast<int>(i) == r || w[i] == 0.0) continue;
-    const double candidate = w[i] * w[i] * inv_sq * gr;
+  for (int i : w.index) {
+    const double wi = w.value[i];
+    if (i == r || wi == 0.0) continue;
+    const double candidate = wi * wi * inv_sq * gr;
     if (candidate > weights_[i]) weights_[i] = candidate;
     max_weight = std::max(max_weight, weights_[i]);
   }

@@ -3,6 +3,8 @@
 
 #include <vector>
 
+#include "lp/factorization.h"
+
 namespace vpart {
 
 // ---------------------------------------------------------------------------
@@ -47,11 +49,12 @@ class DevexPricing {
     return violation * violation / weights_[j];
   }
 
-  /// Weight update after a basis change. `alpha_row[j]` is the pivot row in
-  /// the nonbasic columns (zero where not computed), `entering`/`alpha_q`
-  /// the entering column and its pivot-row entry, `leaving` the column that
-  /// left the basis. Triggers a framework reset when weights explode.
-  void UpdateOnPivot(const std::vector<double>& alpha_row, int entering,
+  /// Weight update after a basis change. `alpha_row` is the pivot row over
+  /// the nonbasic columns, as a sparse vector: only its listed columns are
+  /// visited. `entering`/`alpha_q` are the entering column and its
+  /// pivot-row entry, `leaving` the column that left the basis. Triggers a
+  /// framework reset when weights explode.
+  void UpdateOnPivot(const SparseVector& alpha_row, int entering,
                      double alpha_q, int leaving);
 
   long resets() const { return resets_; }
@@ -77,6 +80,8 @@ class DevexPricing {
 /// column w and pivot element alpha_r = w[r]:
 ///   gamma_i <- max(gamma_i, (w_i / alpha_r)² · gamma_r)   for i ≠ r
 ///   gamma_r <- max(gamma_r / alpha_r², 1)
+/// w arrives as a SparseVector (FTRAN's value array plus its nonzero
+/// index list), so the update visits only w's nonzeros, not all m rows.
 /// Exact steepest edge would FTRAN one extra vector per pivot to update
 /// the norms exactly; the reference-weight form needs no extra solves and
 /// restarts from 1.0 when weights outgrow `kResetThreshold` (counted in
@@ -95,8 +100,9 @@ class DualSteepestEdgePricing {
   }
 
   /// Weight update after a dual pivot: `w` is the FTRANed entering column
-  /// (basis-position space), `r` the leaving position, `alpha_r` = w[r].
-  void UpdateOnPivot(const std::vector<double>& w, int r, double alpha_r);
+  /// (basis-position space; only its listed entries are visited), `r` the
+  /// leaving position, `alpha_r` = w[r].
+  void UpdateOnPivot(const SparseVector& w, int r, double alpha_r);
 
   long resets() const { return resets_; }
 

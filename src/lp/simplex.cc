@@ -102,6 +102,29 @@ void SimplexSolver::BuildMatrix() {
   state_.assign(num_cols_, VarState::kAtLower);
   xval_.assign(num_cols_, 0.0);
   basis_.assign(num_rows_, -1);
+
+  // Row-wise copy of the same columns for PRICE (a counting sort, so each
+  // row lists its columns in ascending order).
+  const int nnz = col_start_[num_cols_];
+  row_start_.assign(num_rows_ + 1, 0);
+  for (int k = 0; k < nnz; ++k) ++row_start_[row_index_[k] + 1];
+  for (int i = 0; i < num_rows_; ++i) row_start_[i + 1] += row_start_[i];
+  row_col_.resize(nnz);
+  row_value_.resize(nnz);
+  std::vector<int> next(row_start_.begin(), row_start_.end() - 1);
+  for (int j = 0; j < num_cols_; ++j) {
+    for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
+      const int slot = next[row_index_[k]]++;
+      row_col_[slot] = j;
+      row_value_[slot] = value_[k];
+    }
+  }
+
+  rho_.Reset(num_rows_);
+  column_.Reset(num_rows_);
+  flip_column_.Reset(num_rows_);
+  duals_.Reset(num_rows_);
+  row_infeasibility_.assign(num_rows_, 0.0);
 }
 
 void SimplexSolver::SetBounds(
@@ -227,17 +250,6 @@ long SimplexSolver::MaxIterations() const {
              : 200L * (num_rows_ + num_cols_) + 20000L;
 }
 
-void SimplexSolver::ScatterColumn(int j, std::vector<double>& out) const {
-  std::fill(out.begin(), out.end(), 0.0);
-  for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-    out[row_index_[k]] = value_[k];
-  }
-}
-
-void SimplexSolver::Ftran(std::vector<double>& w) const { factor_.Ftran(w); }
-
-void SimplexSolver::Btran(std::vector<double>& v) const { factor_.Btran(v); }
-
 bool SimplexSolver::Refactorize() {
   // kFull-gated: refactorizations happen mid-pivot-loop; only deep traces
   // pay for the span (one relaxed atomic load otherwise).
@@ -277,15 +289,30 @@ bool SimplexSolver::UpdateFactorization(int entering, int row,
 }
 
 void SimplexSolver::RecomputeBasicValues() {
-  std::vector<double> r = rhs_;
+  SparseVector r;
+  r.value = rhs_;
   for (int j = 0; j < num_cols_; ++j) {
     if (state_[j] == VarState::kBasic || xval_[j] == 0.0) continue;
     for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-      r[row_index_[k]] -= value_[k] * xval_[j];
+      r.value[row_index_[k]] -= value_[k] * xval_[j];
     }
   }
-  Ftran(r);
-  for (int i = 0; i < num_rows_; ++i) xval_[basis_[i]] = r[i];
+  factor_.Ftran(r);
+  for (int i = 0; i < num_rows_; ++i) xval_[basis_[i]] = r.value[i];
+  for (int i = 0; i < num_rows_; ++i) {
+    row_infeasibility_[i] = RowInfeasibility(i);
+  }
+}
+
+double SimplexSolver::RowInfeasibility(int i) const {
+  const int b = basis_[i];
+  if (std::isfinite(lower_[b]) && xval_[b] < lower_[b]) {
+    return lower_[b] - xval_[b];
+  }
+  if (std::isfinite(upper_[b]) && xval_[b] > upper_[b]) {
+    return xval_[b] - upper_[b];
+  }
+  return 0.0;
 }
 
 void SimplexSolver::AuditResidual(const char* where) {
@@ -303,6 +330,18 @@ void SimplexSolver::AuditResidual(const char* where) {
     ++audit_failures_total_;
     VPART_LOG(Warning) << "lp audit: row-activity residual " << residual
                        << " exceeds " << tolerance << " after " << where;
+  }
+}
+
+void SimplexSolver::AuditRowInfeasibility() {
+  ++audits_run_total_;
+  for (int i = 0; i < num_rows_; ++i) {
+    if (row_infeasibility_[i] != RowInfeasibility(i)) {
+      ++audit_failures_total_;
+      VPART_LOG(Warning) << "lp audit: cached infeasibility of row " << i
+                         << " is stale";
+      return;
+    }
   }
 }
 
@@ -325,10 +364,11 @@ void SimplexSolver::AuditPricingWeights() {
   }
 }
 
-void SimplexSolver::ComputeReducedCosts(std::vector<double>& d) const {
-  std::vector<double> pi(num_rows_, 0.0);
+void SimplexSolver::ComputeReducedCosts(std::vector<double>& d) {
+  // π = B⁻ᵀc_B; every entry of duals_ is written, so no Clear() first.
+  std::vector<double>& pi = duals_.value;
   for (int i = 0; i < num_rows_; ++i) pi[i] = cost_[basis_[i]];
-  Btran(pi);
+  factor_.Btran(duals_);
   d.assign(num_cols_, 0.0);
   for (int j = 0; j < num_cols_; ++j) {
     if (state_[j] == VarState::kBasic) continue;
@@ -337,6 +377,35 @@ void SimplexSolver::ComputeReducedCosts(std::vector<double>& d) const {
       dj -= pi[row_index_[k]] * value_[k];
     }
     d[j] = dj;
+  }
+}
+
+void SimplexSolver::PricePivotRow(const SparseVector& rho, bool skip_fixed) {
+  for (int j : alpha_.index) alpha_mark_[j] = 0;
+  alpha_.Clear();
+  for (int i : rho.index) {
+    const double rho_i = rho.value[i];
+    if (rho_i == 0.0) continue;
+    for (int idx = row_start_[i]; idx < row_start_[i + 1]; ++idx) {
+      const int j = row_col_[idx];
+      if (state_[j] == VarState::kBasic) continue;
+      if (skip_fixed && lower_[j] == upper_[j]) continue;
+      if (!alpha_mark_[j]) {
+        alpha_mark_[j] = 1;
+        alpha_.index.push_back(j);
+      }
+      alpha_.value[j] += rho_i * row_value_[idx];
+    }
+  }
+  for (int j = first_artificial_; j < num_cols_; ++j) {
+    if (state_[j] == VarState::kBasic) continue;
+    if (skip_fixed && lower_[j] == upper_[j]) continue;
+    const int k = col_start_[j];
+    const double rho_i = rho.value[row_index_[k]];
+    if (rho_i == 0.0) continue;
+    alpha_mark_[j] = 1;
+    alpha_.index.push_back(j);
+    alpha_.value[j] += rho_i * value_[k];
   }
 }
 
@@ -395,9 +464,9 @@ double SimplexSolver::PhaseObjective() const {
 
 LpStatus SimplexSolver::RunPhase(long max_iterations) {
   std::vector<double> d;
-  std::vector<double> w(num_rows_);
-  std::vector<double> rho(num_rows_);
-  std::vector<double> alpha_row(num_cols_, 0.0);
+  const std::vector<double>& w = column_.value;
+  alpha_.Reset(num_cols_);
+  alpha_mark_.assign(num_cols_, 0);
   double last_objective = PhaseObjective();
 
   // Reduced costs are computed once and maintained incrementally across
@@ -432,10 +501,9 @@ LpStatus SimplexSolver::RunPhase(long max_iterations) {
       dir = -1;
     }
 
-    ScatterColumn(entering, w);
-    Ftran(w);
+    factor_.FtranColumn(col_start_, row_index_, value_, entering, column_);
 
-    // Ratio test.
+    // Ratio test, over every row: ascending row order decides near-ties.
     double best_delta = kLpInfinity;
     int leaving_row = -1;
     double leaving_abs = 0.0;
@@ -477,7 +545,7 @@ LpStatus SimplexSolver::RunPhase(long max_iterations) {
 
     // Apply the step.
     if (delta != 0.0) {
-      for (int i = 0; i < num_rows_; ++i) {
+      for (int i : column_.index) {
         if (w[i] != 0.0) xval_[basis_[i]] -= dir * w[i] * delta;
       }
       xval_[entering] += dir * delta;
@@ -497,32 +565,25 @@ LpStatus SimplexSolver::RunPhase(long max_iterations) {
       assert(leaving_row >= 0);
       const int leaving = basis_[leaving_row];
 
-      // Pivot row alpha (one BTRAN + column dots): feeds both the
+      // Pivot row alpha (one BTRAN + row-wise PRICE): feeds both the
       // incremental reduced-cost update and the devex weights.
-      std::fill(rho.begin(), rho.end(), 0.0);
-      rho[leaving_row] = 1.0;
-      Btran(rho);
-      for (int j = 0; j < num_cols_; ++j) {
-        alpha_row[j] = 0.0;
-        if (state_[j] == VarState::kBasic) continue;
-        double a = 0.0;
-        for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-          a += rho[row_index_[k]] * value_[k];
-        }
-        alpha_row[j] = a;
-      }
+      rho_.Clear();
+      rho_.value[leaving_row] = 1.0;
+      rho_.index.push_back(leaving_row);
+      factor_.Btran(rho_);
+      PricePivotRow(rho_, /*skip_fixed=*/false);
       const double alpha_q = w[leaving_row];
       const double dual_step = d[entering] / alpha_q;
       if (dual_step != 0.0) {
-        for (int j = 0; j < num_cols_; ++j) {
-          if (alpha_row[j] != 0.0) d[j] -= dual_step * alpha_row[j];
+        for (int j : alpha_.index) {
+          if (alpha_.value[j] != 0.0) d[j] -= dual_step * alpha_.value[j];
         }
       }
       d[entering] = 0.0;
       d[leaving] = -dual_step;
       d_fresh = false;
       if (options_.use_devex && !use_bland_) {
-        devex_.UpdateOnPivot(alpha_row, entering, alpha_q, leaving);
+        devex_.UpdateOnPivot(alpha_, entering, alpha_q, leaving);
       }
 
       state_[leaving] =
@@ -707,12 +768,11 @@ bool SimplexSolver::LoadBasis(const Basis& basis) {
   return true;
 }
 
-LpStatus SimplexSolver::RunDual(long max_iterations) {
-  std::vector<double> d;
-  std::vector<double> rho(num_rows_);
-  std::vector<double> alpha(num_cols_, 0.0);
-  std::vector<double> w(num_rows_);
-  std::vector<double> flip_col(num_rows_);
+LpStatus SimplexSolver::RunDual(long max_iterations, std::vector<double>& d) {
+  const std::vector<double>& w = column_.value;
+  const std::vector<double>& alpha = alpha_.value;
+  alpha_.Reset(num_cols_);
+  alpha_mark_.assign(num_cols_, 0);
   struct Candidate {
     int j;
     double ratio;
@@ -723,11 +783,10 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
   double last_infeasibility = kLpInfinity;
   int consecutive_repairs = 0;
 
-  // Reduced costs are computed once and updated incrementally per pivot
+  // Reduced costs arrive verified and are updated incrementally per pivot
   // (d'_j = d_j - (d_q/alpha_q)*alpha_j over the already-computed alpha
   // row); every refactorization recomputes them from scratch, which bounds
   // the incremental drift at refactor_interval pivots.
-  ComputeReducedCosts(d);
   if (options_.use_steepest_edge) dse_.Reset(num_rows_);
 
   while (true) {
@@ -743,17 +802,11 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
     double best_score = 0.0;
     double total_infeasibility = 0.0;
     for (int i = 0; i < num_rows_; ++i) {
-      const int b = basis_[i];
-      double violation = 0.0;
-      if (std::isfinite(lower_[b]) && xval_[b] < lower_[b]) {
-        violation = lower_[b] - xval_[b];
-      } else if (std::isfinite(upper_[b]) && xval_[b] > upper_[b]) {
-        violation = xval_[b] - upper_[b];
-      }
+      const double violation = row_infeasibility_[i];
       total_infeasibility += violation;
       if (violation <= options_.feasibility_tol) continue;
       if (use_bland_) {
-        if (r < 0 || b < basis_[r]) r = i;
+        if (r < 0 || basis_[i] < basis_[r]) r = i;
       } else {
         const double score = options_.use_steepest_edge
                                  ? dse_.Score(i, violation)
@@ -764,7 +817,10 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
         }
       }
     }
-    if (r < 0) return LpStatus::kOptimal;  // primal + dual feasible
+    if (r < 0) {  // primal + dual feasible
+      if (options_.audit_level == AuditLevel::kFull) AuditRowInfeasibility();
+      return LpStatus::kOptimal;
+    }
 
     // Degeneracy watch: no strict progress for stall_threshold pivots
     // switches both selection rules to Bland's. The isfinite guard seeds
@@ -786,31 +842,29 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
     double infeas = below ? xval_[leaving] - lower_[leaving]
                           : xval_[leaving] - upper_[leaving];
 
-    // Row r of B^{-1}A: alpha_j = rho·a_j with rho = B^{-T} e_r. The full
-    // row (not just the eligible candidates) feeds the post-pivot update.
-    std::fill(rho.begin(), rho.end(), 0.0);
-    rho[r] = 1.0;
-    Btran(rho);
+    // Row r of B^{-1}A: alpha_j = rho·a_j with rho = B^{-T} e_r, priced
+    // row-wise over rho's nonzeros. The full row (not just the eligible
+    // candidates) feeds the post-pivot update.
+    rho_.Clear();
+    rho_.value[r] = 1.0;
+    rho_.index.push_back(r);
+    factor_.Btran(rho_);
+    PricePivotRow(rho_, /*skip_fixed=*/true);
 
-    // Dual ratio test. Short step (Bland, or bound flips disabled): the
-    // entering column minimizes |d_j|/|alpha_j| among the sign-eligible
-    // nonbasics. Long step: collect every eligible breakpoint instead and
-    // walk them below.
+    // Dual ratio test over the touched columns. Short step (Bland, or
+    // bound flips disabled): the entering column minimizes |d_j|/|alpha_j|
+    // among the sign-eligible nonbasics, near-ties going to the lowest
+    // column index. Long step: collect every eligible breakpoint instead
+    // and walk them below.
     const bool long_step = options_.use_bound_flips && !use_bland_;
+    if (!long_step) std::sort(alpha_.index.begin(), alpha_.index.end());
     cands.clear();
     int entering = -1;
     double best_ratio = kLpInfinity;
     double best_alpha = 0.0;
     double entering_alpha = 0.0;
-    for (int j = 0; j < num_cols_; ++j) {
-      alpha[j] = 0.0;
-      if (state_[j] == VarState::kBasic) continue;
-      if (lower_[j] == upper_[j]) continue;  // fixed: cannot move
-      double a = 0.0;
-      for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-        a += rho[row_index_[k]] * value_[k];
-      }
-      alpha[j] = a;
+    for (int j : alpha_.index) {
+      const double a = alpha[j];
       if (std::abs(a) <= options_.pivot_tol) continue;
       // The entering step is theta = infeas / alpha; its sign must move the
       // entering variable off its bound in a feasible direction.
@@ -855,18 +909,21 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
     // enters the basis. The entering ratio bounds every flipped ratio, so
     // all flipped reduced costs change sign consistently with their new
     // bound once the pivot's dual step is applied.
+    // Breakpoints are taken in (ratio, -|alpha|, j) order from a heap: the
+    // walk usually stops after a few, so sorting them all would be waste.
     flips.clear();
     if (long_step) {
-      std::sort(cands.begin(), cands.end(),
-                [](const Candidate& a, const Candidate& b) {
-                  if (a.ratio != b.ratio) return a.ratio < b.ratio;
-                  if (a.abs_alpha != b.abs_alpha) {
-                    return a.abs_alpha > b.abs_alpha;
-                  }
-                  return a.j < b.j;
-                });
+      const auto after = [](const Candidate& a, const Candidate& b) {
+        if (a.ratio != b.ratio) return a.ratio > b.ratio;
+        if (a.abs_alpha != b.abs_alpha) return a.abs_alpha < b.abs_alpha;
+        return a.j > b.j;
+      };
+      std::make_heap(cands.begin(), cands.end(), after);
       double slope = std::abs(infeas);
-      for (const Candidate& cand : cands) {
+      while (!cands.empty()) {
+        std::pop_heap(cands.begin(), cands.end(), after);
+        const Candidate cand = cands.back();
+        cands.pop_back();
         const int j = cand.j;
         const bool boxed =
             std::isfinite(lower_[j]) && std::isfinite(upper_[j]);
@@ -892,8 +949,7 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
 
     // FTRAN the entering column and cross-check the pivot against the
     // BTRAN row *before* any state changes, so a repair retries cleanly.
-    ScatterColumn(entering, w);
-    Ftran(w);
+    factor_.FtranColumn(col_start_, row_index_, value_, entering, column_);
     if (std::abs(w[r]) <= options_.pivot_tol ||
         std::abs(w[r] - entering_alpha) >
             0.5 * std::abs(w[r]) + options_.feasibility_tol) {
@@ -911,7 +967,8 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
     // Apply the harvested bound flips: nonbasics jump across their box in
     // bulk, the basics absorb the combined column delta via one FTRAN.
     if (!flips.empty()) {
-      std::fill(flip_col.begin(), flip_col.end(), 0.0);
+      flip_column_.Clear();
+      std::vector<double>& flip_col = flip_column_.value;
       for (int j : flips) {
         const bool to_upper = state_[j] == VarState::kAtLower;
         const double delta =
@@ -919,13 +976,16 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
         state_[j] = to_upper ? VarState::kAtUpper : VarState::kAtLower;
         xval_[j] = to_upper ? upper_[j] : lower_[j];
         for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-          flip_col[row_index_[k]] += value_[k] * delta;
+          const int i = row_index_[k];
+          if (flip_col[i] == 0.0) flip_column_.index.push_back(i);
+          flip_col[i] += value_[k] * delta;
         }
         ++bound_flips_;
       }
-      Ftran(flip_col);
-      for (int i = 0; i < num_rows_; ++i) {
+      factor_.Ftran(flip_column_);
+      for (int i : flip_column_.index) {
         if (flip_col[i] != 0.0) xval_[basis_[i]] -= flip_col[i];
+        row_infeasibility_[i] = RowInfeasibility(i);
       }
       // The leaving variable's violation shrank by the flipped mass; a
       // numerically crossed sign degrades to a degenerate pivot.
@@ -934,9 +994,12 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
       if (below ? infeas > 0 : infeas < 0) infeas = 0;
     }
 
+    // The step moves only w's rows; their infeasibilities follow (row r's
+    // is redone below, once its new basic variable is in place).
     const double theta = infeas / w[r];
-    for (int i = 0; i < num_rows_; ++i) {
+    for (int i : column_.index) {
       if (w[i] != 0.0) xval_[basis_[i]] -= theta * w[i];
+      row_infeasibility_[i] = RowInfeasibility(i);
     }
     xval_[entering] += theta;
     xval_[leaving] = below ? lower_[leaving] : upper_[leaving];
@@ -947,7 +1010,7 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
     // picks up -dual_step, everything else shifts by dual_step * alpha_j.
     const double dual_step = d[entering] / entering_alpha;
     if (dual_step != 0.0) {
-      for (int j = 0; j < num_cols_; ++j) {
+      for (int j : alpha_.index) {
         if (alpha[j] != 0.0) d[j] -= dual_step * alpha[j];
       }
     }
@@ -955,11 +1018,12 @@ LpStatus SimplexSolver::RunDual(long max_iterations) {
     d[leaving] = -dual_step;
 
     if (options_.use_steepest_edge && !use_bland_) {
-      dse_.UpdateOnPivot(w, r, w[r]);
+      dse_.UpdateOnPivot(column_, r, w[r]);
     }
 
     state_[entering] = VarState::kBasic;
     basis_[r] = entering;
+    row_infeasibility_[r] = RowInfeasibility(r);
 
     bool refactorized = false;
     if (!UpdateFactorization(entering, r, refactorized)) {
@@ -1034,7 +1098,8 @@ LpResult SimplexSolver::Reoptimize() {
     }
   }
 
-  return FinishResult(RunDual(MaxIterations()), /*warm=*/true,
+  // The verified reduced costs seed the dual loop as they are.
+  return FinishResult(RunDual(MaxIterations(), d), /*warm=*/true,
                       /*expose_partial=*/false);  // dual stops are infeasible
 }
 

@@ -66,9 +66,9 @@ struct SimplexOptions {
   /// Self-check level (check/audit.h): kOff (default) runs no audits; kCheap
   /// checks ‖A·x − b‖∞ after each refactorization and basis-header
   /// consistency on LoadBasis; kFull adds a residual check every
-  /// audit_ft_interval Forrest–Tomlin updates and pricing-weight positivity
-  /// at solve end. Failures are counted (LpResult::audit_failures), never
-  /// acted on.
+  /// audit_ft_interval Forrest–Tomlin updates, pricing-weight positivity
+  /// at solve end, and the dual's cached row infeasibilities at optimality.
+  /// Failures are counted (LpResult::audit_failures), never acted on.
   AuditLevel audit_level = AuditLevel::kOff;
   /// Forrest–Tomlin updates between residual audits at AuditLevel::kFull.
   int audit_ft_interval = 25;
@@ -167,7 +167,8 @@ class Basis {
 };
 
 /// Reusable bounded-variable simplex over one LpModel. The constraint
-/// matrix is built once (CSC over structural + logical columns); bounds,
+/// matrix is built once (CSC over structural + logical columns, plus a
+/// row-wise copy for PRICE); bounds,
 /// time budgets, and the basis are replaceable between solves, so a branch
 /// & bound pays the matrix build once per tree and each node solve is
 ///
@@ -253,10 +254,8 @@ class SimplexSolver {
   LpResult FinishResult(LpStatus status, bool warm, bool expose_partial);
 
   // --- linear algebra over the LU factorization --------------------------
-  void Ftran(std::vector<double>& w) const;  // w := B^{-1} w
-  void Btran(std::vector<double>& v) const;  // v := B^{-T} v
-  void ScatterColumn(int j, std::vector<double>& out) const;
   bool Refactorize();
+  /// x_B := B⁻¹(b − A_N x_N), then rebuilds row_infeasibility_.
   void RecomputeBasicValues();
   /// Forrest–Tomlin update for "entering replaces position `row`", with
   /// the trigger-driven refactorization fallback. False = unrecoverable;
@@ -270,6 +269,9 @@ class SimplexSolver {
   void AuditResidual(const char* where);
   /// kFull-level pricing-weight positivity check at solve end.
   void AuditPricingWeights();
+  /// kFull-level check, before the dual claims optimality, that the cached
+  /// row infeasibilities CHUZR read equal a recomputation.
+  void AuditRowInfeasibility();
 
   // --- pricing -----------------------------------------------------------
   /// Reduced-cost violation of nonbasic column j (> 0 when j can improve
@@ -277,12 +279,22 @@ class SimplexSolver {
   double PrimalViolation(int j, double dj) const;
   int PricePrimal(const std::vector<double>& d) const;
   int PriceBland(const std::vector<double>& d) const;
-  void ComputeReducedCosts(std::vector<double>& d) const;
+  void ComputeReducedCosts(std::vector<double>& d);
+  /// Row-wise PRICE: alpha_ := ρᵀA over the nonbasic columns (fixed ones
+  /// too unless `skip_fixed`), walking only ρ's nonzero rows of the
+  /// row-wise copy; alpha_.index lists the columns touched. Phase-1
+  /// artificials (singletons outside the row-wise copy) are added directly.
+  void PricePivotRow(const SparseVector& rho, bool skip_fixed);
+  /// Primal infeasibility of the basic variable in row i (0 when within
+  /// its bounds).
+  double RowInfeasibility(int i) const;
 
   // --- iteration loops ---------------------------------------------------
   LpStatus RunPhase(long max_iterations);
   double PhaseObjective() const;
-  LpStatus RunDual(long max_iterations);
+  /// Dual simplex from a dual-feasible basis; `d` holds its verified
+  /// reduced costs and is maintained in place.
+  LpStatus RunDual(long max_iterations, std::vector<double>& d);
 
   long MaxIterations() const;
 
@@ -299,6 +311,12 @@ class SimplexSolver {
   std::vector<int> col_start_;
   std::vector<int> row_index_;
   std::vector<double> value_;
+  // Row-wise copy of the structural and logical columns (phase-1
+  // artificials excluded), built once with the CSC matrix: row i spans
+  // (row_col_, row_value_)[row_start_[i] .. row_start_[i+1]).
+  std::vector<int> row_start_;
+  std::vector<int> row_col_;
+  std::vector<double> row_value_;
 
   std::vector<double> lower_, upper_;
   std::vector<double> cost_;       // active phase cost
@@ -317,6 +335,20 @@ class SimplexSolver {
   bool factor_synced_ = false;
   DevexPricing devex_;
   DualSteepestEdgePricing dse_;
+  // Iteration workspaces, reused across pivots and solves: ρ = B⁻ᵀe_r, the
+  // FTRANed entering column, the FTRANed bound-flip column, the cost
+  // vector's BTRAN, and the pivot row α_r = ρᵀA (sized to the columns, with
+  // alpha_mark_ flagging the listed ones).
+  SparseVector rho_;
+  SparseVector column_;
+  SparseVector flip_column_;
+  SparseVector duals_;
+  SparseVector alpha_;
+  std::vector<uint8_t> alpha_mark_;
+  /// RowInfeasibility(i) for every row, kept current through RunDual's
+  /// pivots (only the rows a step or a flip touched change) and rebuilt by
+  /// RecomputeBasicValues.
+  std::vector<double> row_infeasibility_;
   bool basis_ready_ = false;  // a loaded/left basis is available
   long iterations_ = 0;
   long phase1_iterations_ = 0;

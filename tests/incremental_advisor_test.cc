@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <utility>
+
 #include "cost/cost_model.h"
 #include "instances/random_instance.h"
 #include "instances/tpcc.h"
@@ -41,6 +45,59 @@ TEST(IncrementalSolverTest, ProducesFeasibleSolutions) {
     EXPECT_TRUE(ValidatePartitioning(instance, result.partitioning).ok())
         << "seed " << seed;
     EXPECT_DOUBLE_EQ(result.cost, model.Objective(result.partitioning));
+  }
+}
+
+/// Decorator over a cost model whose Rebind() raises `flag` on its
+/// `trigger`-th call. The incremental solver rebinds once for its heavy
+/// prefix and then once per growth round, right after sizing the round,
+/// so trigger >= 2 cancels in the middle of a round.
+class CancelOnRebind final : public CostCoefficients {
+ public:
+  CancelOnRebind(const CostCoefficients& base, std::atomic<bool>* flag,
+                 int trigger)
+      : CostCoefficients(base, base.backend() + "+cancel"),
+        base_(base),
+        flag_(flag),
+        trigger_(trigger) {}
+
+  std::unique_ptr<CostCoefficients> Rebind(
+      std::shared_ptr<const Instance> instance) const override {
+    if (++calls_ == trigger_) flag_->store(true);
+    return base_.Rebind(std::move(instance));
+  }
+
+ private:
+  const CostCoefficients& base_;
+  std::atomic<bool>* flag_;
+  int trigger_;
+  mutable int calls_ = 0;
+};
+
+// A cancel that lands while a growth round is under way must still return
+// every transaction folded in: the round in flight finishes, and the next
+// one folds in the rest.
+TEST(IncrementalSolverTest, CancelMidRoundStillPlacesEveryTransaction) {
+  RandomInstanceParams params;
+  params.num_transactions = 15;
+  params.num_tables = 6;
+  params.seed = 611;
+  Instance instance = MakeRandomInstance(params);
+  CostModel model(&instance, {.p = 8, .lambda = 0.1});
+  for (int trigger = 2; trigger <= 4; ++trigger) {
+    std::atomic<bool> cancel(false);
+    CancelOnRebind cancelling(model, &cancel, trigger);
+    IncrementalOptions options;
+    options.sa.seed = 1;
+    options.sa.inner_iterations = 10;
+    options.sa.stale_rounds_limit = 3;
+    options.sa.cancel_flag = &cancel;
+    SaResult result = SolveIncrementally(cancelling, 3, options);
+    EXPECT_TRUE(cancel.load()) << "trigger " << trigger;
+    EXPECT_TRUE(ValidatePartitioning(instance, result.partitioning).ok())
+        << "trigger " << trigger;
+    EXPECT_DOUBLE_EQ(result.cost, model.Objective(result.partitioning))
+        << "trigger " << trigger;
   }
 }
 

@@ -4,11 +4,18 @@
 // randomized LPs, eq.-(7) models of random_instance workloads with B&B-style
 // binary fixings, degenerate/stall cases exercising the Bland fallback, and
 // every combination of the factorized core's pricing upgrades (dual
-// steepest edge, devex, the long-step bound-flipping ratio test).
+// steepest edge, devex, the long-step bound-flipping ratio test). The
+// eq.-(7) suites run with every runtime audit on and require zero audit
+// failures, and one case fixes and unfixes boxed columns between
+// reoptimizations of one solver, which the row-wise pivot-row PRICE must
+// skip while fixed and price again once free.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -117,19 +124,18 @@ TEST(WarmStartTest, ReoptimizeWithoutBasisFailsGracefully) {
   EXPECT_EQ(result.status, LpStatus::kNumericalFailure);
 }
 
-/// Shared property check: warm-reoptimize must agree with a cold solve on
-/// the same bounds. Returns true when the warm path answered (didn't fall
-/// back), so callers can assert the fallback stays rare.
-bool CheckWarmAgainstCold(const LpModel& model, const Basis& basis,
-                          const std::vector<std::pair<double, double>>& bounds,
-                          const SimplexOptions& options,
-                          const std::string& where) {
-  SimplexSolver solver(model, options);
-  solver.SetBounds(&bounds);
-  EXPECT_TRUE(solver.LoadBasis(basis)) << where;
-  LpResult warm = solver.Reoptimize();
+/// A warm reoptimization's result must agree with a cold solve on the same
+/// bounds, and neither may fail a runtime audit. Returns true when the warm
+/// path answered (didn't fall back), so callers can assert the fallback
+/// stays rare.
+bool WarmAgreesWithCold(const LpResult& warm, const LpModel& model,
+                        const std::vector<std::pair<double, double>>& bounds,
+                        const SimplexOptions& options,
+                        const std::string& where) {
+  EXPECT_EQ(warm.audit_failures, 0) << where;
   if (warm.status == LpStatus::kNumericalFailure) return false;  // ladder
   LpResult cold = SolveLp(model, options, &bounds);
+  EXPECT_EQ(cold.audit_failures, 0) << where;
   EXPECT_EQ(warm.status, cold.status) << where;
   if (warm.status == LpStatus::kOptimal &&
       cold.status == LpStatus::kOptimal) {
@@ -137,6 +143,35 @@ bool CheckWarmAgainstCold(const LpModel& model, const Basis& basis,
     EXPECT_NEAR(warm.objective, cold.objective, 1e-5 * scale) << where;
   }
   return true;
+}
+
+/// Shared property check: a fresh solver loading `basis` and reoptimizing
+/// under `bounds` must agree with a cold solve (see WarmAgreesWithCold).
+bool CheckWarmAgainstCold(const LpModel& model, const Basis& basis,
+                          const std::vector<std::pair<double, double>>& bounds,
+                          const SimplexOptions& options,
+                          const std::string& where) {
+  SimplexSolver solver(model, options);
+  solver.SetBounds(&bounds);
+  EXPECT_TRUE(solver.LoadBasis(basis)) << where;
+  return WarmAgreesWithCold(solver.Reoptimize(), model, bounds, options,
+                            where);
+}
+
+/// The eq.-(7) model of a small random workload at 2 sites.
+IlpFormulation RandomFormulation(int num_transactions, uint64_t seed,
+                                 const std::string& name) {
+  RandomInstanceParams params;
+  params.num_transactions = num_transactions;
+  params.num_tables = 3;
+  params.max_attributes_per_table = 6;
+  params.seed = seed;
+  params.name = name;
+  Instance instance = MakeRandomInstance(params);
+  CostModel cost_model(&instance, {.p = 8, .lambda = 0.1});
+  FormulationOptions options;
+  options.num_sites = 2;
+  return BuildIlpFormulation(cost_model, options);
 }
 
 // Randomized LPs (the lp_simplex_test family) under random bound
@@ -212,25 +247,23 @@ TEST(WarmStartTest, RandomLpsAgreeAfterRandomTightenings) {
 }
 
 // The production shape: eq.-(7) models of random_instance workloads, with
-// the exact bound changes branch & bound performs (binary fixings).
+// the exact bound changes branch & bound performs (binary fixings), under
+// every runtime audit.
 TEST(WarmStartTest, RandomInstanceFormulationsAgreeAfterBinaryFixings) {
   Rng rng(7);
+  SimplexOptions audited;
+  audited.audit_level = AuditLevel::kFull;
+  long audits_run = 0;
   for (int trial = 0; trial < 6; ++trial) {
-    RandomInstanceParams params;
-    params.num_transactions = 6 + static_cast<int>(rng.NextBounded(4));
-    params.num_tables = 3;
-    params.max_attributes_per_table = 6;
-    params.seed = 100 + trial;
-    params.name = "warmstart";
-    Instance instance = MakeRandomInstance(params);
-    CostModel cost_model(&instance, {.p = 8, .lambda = 0.1});
-    FormulationOptions options;
-    options.num_sites = 2;
-    IlpFormulation f = BuildIlpFormulation(cost_model, options);
+    const int num_transactions = 6 + static_cast<int>(rng.NextBounded(4));
+    IlpFormulation f =
+        RandomFormulation(num_transactions, 100 + trial, "warmstart");
 
-    SimplexSolver solver(f.model);
+    SimplexSolver solver(f.model, audited);
     LpResult base = solver.Solve();
     ASSERT_EQ(base.status, LpStatus::kOptimal) << "trial " << trial;
+    EXPECT_EQ(base.audit_failures, 0) << "trial " << trial;
+    audits_run += base.audits_run;
     Basis basis = solver.SaveBasis();
     ASSERT_TRUE(basis.valid()) << "trial " << trial;
 
@@ -250,10 +283,11 @@ TEST(WarmStartTest, RandomInstanceFormulationsAgreeAfterBinaryFixings) {
         const double v = rng.NextBool(0.5) ? 1.0 : 0.0;
         bounds[j] = {v, v};
       }
-      CheckWarmAgainstCold(f.model, basis, bounds, {},
+      CheckWarmAgainstCold(f.model, basis, bounds, audited,
                            "trial " + std::to_string(trial));
     }
   }
+  EXPECT_GT(audits_run, 0);
 }
 
 // Degenerate/stall coverage: duplicated rows through one vertex force
@@ -298,17 +332,7 @@ TEST(WarmStartTest, DegenerateReoptimizationSurvivesBlandFallback) {
 // bound flips, and devex on the production-shaped eq.-(7) models.
 TEST(WarmStartTest, PricingAndRatioTestVariantsAgreeWarmAndCold) {
   Rng rng(99);
-  RandomInstanceParams params;
-  params.num_transactions = 8;
-  params.num_tables = 3;
-  params.max_attributes_per_table = 6;
-  params.seed = 1234;
-  params.name = "pricing_variants";
-  Instance instance = MakeRandomInstance(params);
-  CostModel cost_model(&instance, {.p = 8, .lambda = 0.1});
-  FormulationOptions formulation_options;
-  formulation_options.num_sites = 2;
-  IlpFormulation f = BuildIlpFormulation(cost_model, formulation_options);
+  IlpFormulation f = RandomFormulation(8, 1234, "pricing_variants");
 
   std::vector<int> binaries;
   for (int j = 0; j < f.model.num_variables(); ++j) {
@@ -320,11 +344,13 @@ TEST(WarmStartTest, PricingAndRatioTestVariantsAgreeWarmAndCold) {
     options.use_steepest_edge = (variant & 1) != 0;
     options.use_bound_flips = (variant & 2) != 0;
     options.use_devex = (variant & 4) != 0;
+    options.audit_level = AuditLevel::kFull;
     const std::string where = "variant " + std::to_string(variant);
 
     SimplexSolver solver(f.model, options);
     LpResult base = solver.Solve();
     ASSERT_EQ(base.status, LpStatus::kOptimal) << where;
+    EXPECT_EQ(base.audit_failures, 0) << where;
     Basis basis = solver.SaveBasis();
     ASSERT_TRUE(basis.valid()) << where;
 
@@ -342,6 +368,100 @@ TEST(WarmStartTest, PricingAndRatioTestVariantsAgreeWarmAndCold) {
       }
       CheckWarmAgainstCold(f.model, basis, bounds, options, where);
     }
+  }
+}
+
+// One solver reoptimizes through a sequence of bound sets in which boxed
+// binaries become fixed and later free again: PRICE must skip a column
+// while it is fixed (and while it is basic) and price it again once its
+// box reopens. A fixed nonbasic column therefore never enters the basis,
+// with the long-step ratio test or the short one. Every warm answer must
+// match a cold solve, under every runtime audit, and the warm path must
+// answer most of them.
+TEST(WarmStartTest, BoxedColumnsFixedThenUnfixedBetweenReoptimizations) {
+  IlpFormulation f = RandomFormulation(8, 77, "fix_unfix");
+  const LpModel& model = f.model;
+
+  std::vector<int> boxed;
+  std::vector<std::pair<double, double>> free_bounds;
+  for (int j = 0; j < model.num_variables(); ++j) {
+    const double lo = model.variable(j).lower;
+    const double hi = model.variable(j).upper;
+    if (std::isfinite(lo) && std::isfinite(hi) && lo < hi) boxed.push_back(j);
+    free_bounds.emplace_back(lo, hi);
+  }
+  auto is_basic = [](const Basis& basis, int j) {
+    const std::vector<int>& rows = basis.basic_of_row();
+    return std::find(rows.begin(), rows.end(), j) != rows.end();
+  };
+
+  for (bool bound_flips : {true, false}) {
+    Rng rng(4242);
+    SimplexOptions options;
+    options.audit_level = AuditLevel::kFull;
+    options.use_bound_flips = bound_flips;
+    SimplexSolver solver(model, options);
+    ASSERT_EQ(solver.Solve().status, LpStatus::kOptimal);
+    int attempts = 0;
+    int warm_answers = 0;
+    int fixed_nonbasic = 0;
+    for (int round = 0; round < 24; ++round) {
+      const std::string where = std::string(bound_flips ? "long" : "short") +
+                                " step, round " + std::to_string(round);
+      const Basis basis = solver.SaveBasis();
+      if (!basis.valid()) {
+        // The last bound set was infeasible: restart from a cold optimum.
+        solver.SetBounds(nullptr);
+        ASSERT_EQ(solver.Solve().status, LpStatus::kOptimal) << where;
+        continue;
+      }
+      // Even rounds fix a few boxed columns, nonbasic ones and one basic
+      // one, each at a random end of its box (so some nonbasics jump to the
+      // other bound); odd rounds release them all again.
+      std::vector<int> fixed;
+      std::vector<std::pair<double, double>> bounds = free_bounds;
+      if (round % 2 == 0) {
+        int nonbasic_wanted = 1 + static_cast<int>(rng.NextBounded(3));
+        bool basic_wanted = true;
+        for (int tries = 0; tries < 200; ++tries) {
+          const int j = boxed[rng.NextBounded(boxed.size())];
+          if (std::find(fixed.begin(), fixed.end(), j) != fixed.end()) continue;
+          if (is_basic(basis, j)) {
+            if (!basic_wanted) continue;
+            basic_wanted = false;
+          } else {
+            if (nonbasic_wanted == 0) continue;
+            --nonbasic_wanted;
+          }
+          fixed.push_back(j);
+          const double v =
+              rng.NextBool(0.5) ? free_bounds[j].first : free_bounds[j].second;
+          bounds[j] = {v, v};
+        }
+      }
+      solver.SetBounds(&bounds);
+      ASSERT_TRUE(solver.LoadBasis(basis)) << where;
+      ++attempts;
+      const LpResult warm = solver.Reoptimize();
+      if (warm.status == LpStatus::kOptimal) {
+        const Basis solved = solver.SaveBasis();
+        for (int j : fixed) {
+          if (is_basic(basis, j)) continue;  // basic when fixed: may stay
+          ++fixed_nonbasic;
+          EXPECT_FALSE(is_basic(solved, j))
+              << where << ": fixed column " << j << " entered the basis";
+        }
+      }
+      if (WarmAgreesWithCold(warm, model, bounds, options, where)) {
+        ++warm_answers;
+      } else {
+        // The ladder's next rung, as branch & bound takes it.
+        ASSERT_NE(solver.Solve().status, LpStatus::kNumericalFailure) << where;
+      }
+    }
+    EXPECT_GE(attempts, 12);
+    EXPECT_GE(warm_answers * 2, attempts);
+    EXPECT_GT(fixed_nonbasic, 0);
   }
 }
 
