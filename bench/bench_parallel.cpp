@@ -96,8 +96,6 @@
 #include "costmodel_baseline.h"
 #include "cost/cost_model.h"
 #include "cost/cost_model_registry.h"
-#include "dist/coordinator.h"
-#include "dist/worker.h"
 #include "engine/batch_advisor.h"
 #include "engine/portfolio.h"
 #include "mip/branch_and_bound.h"
@@ -1102,221 +1100,6 @@ int ServeMain(bool quick, const char* baseline_path) {
   return ok ? 0 : 1;
 }
 
-// --- distributed solve: coordinator + worker processes vs one process ------
-
-/// Trend gate against the checked-in BENCH_dist.json: the distributed
-/// seconds must not regress >15% (+slack) against the recorded run. The
-/// objective-equivalence and (on >=4-core machines) 2x-speedup gates are
-/// checked unconditionally in DistMain.
-bool CheckDistBaseline(const char* path, double dist_seconds) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "dist: cannot read baseline %s\n", path);
-    return false;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto parsed = JsonValue::Parse(buffer.str());
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "dist: bad baseline %s: %s\n", path,
-                 parsed.status().ToString().c_str());
-    return false;
-  }
-  const JsonValue* section = parsed->Find("dist_rndAt8x15_subtrees");
-  const JsonValue* base = section != nullptr
-                              ? section->Find("dist_min_seconds")
-                              : nullptr;
-  if (base == nullptr || !base->is_number()) {
-    std::fprintf(stderr, "dist: baseline %s lacks dist_min_seconds\n", path);
-    return false;
-  }
-  constexpr double kRegressionFactor = 1.15;  // >15% worse = regression
-  constexpr double kAbsoluteSlack = 0.25;     // fork+exec startup is noisy
-  const double limit = base->as_number() * kRegressionFactor + kAbsoluteSlack;
-  if (dist_seconds > limit) {
-    std::fprintf(stderr,
-                 "dist: distributed seconds regressed %.3f -> %.3f (>15%% "
-                 "over the checked-in baseline %s)\n",
-                 base->as_number(), dist_seconds, path);
-    return false;
-  }
-  return true;
-}
-
-/// `vpart_cli` next to this binary (both land in the build dir); "" when
-/// it is not there, which downgrades the bench to in-process workers.
-std::string FindWorkerBinary(const char* argv0) {
-  std::string path(argv0 != nullptr ? argv0 : "");
-  const size_t slash = path.rfind('/');
-  path = slash == std::string::npos ? std::string("./")
-                                    : path.substr(0, slash + 1);
-  path += "vpart_cli";
-  return ::access(path.c_str(), X_OK) == 0 ? path : std::string();
-}
-
-/// Prices the distributed layer end to end: the rndAt8x15 exact proof
-/// (ILP sites=2) solved single-process vs sharded across 4 worker
-/// processes at the B&B frontier. Three contracts:
-///   - the distributed objective equals the single-process certified
-///     objective exactly, and both runs prove optimality;
-///   - on machines with >= 4 cores the distributed proof lands >= 2x
-///     faster in wall clock (on smaller machines the workers timeshare
-///     one core, so the gate degrades to the overhead trend against the
-///     checked-in BENCH_dist.json — a 1-core CI container physically
-///     cannot show the speedup, but it can still catch the coordinator
-///     getting slower or losing the proof);
-///   - no units are lost (requeued_total is reported for the record).
-int DistMain(bool quick, const char* baseline_path, const char* argv0) {
-  const int repetitions = quick ? 1 : 3;
-  const int workers = 4;
-  const double time_limit = QpTimeLimit(quick ? 30.0 : 60.0);
-  auto params = ParseNamedInstanceParams("rndAt8x15");
-  if (!params.ok()) {
-    std::fprintf(stderr, "dist: rndAt8x15 params: %s\n",
-                 params.status().ToString().c_str());
-    return 1;
-  }
-  Instance instance = MakeRandomInstance(*params);
-
-  CliRequest cli;
-  cli.random = "rndAt8x15";
-  cli.request.solver = "ilp";
-  cli.request.num_sites = 2;
-  cli.request.time_limit_seconds = time_limit;
-  cli.request.ilp.warm_start_seconds = 0.25;
-  cli.request.obs = ObsLevel::kOff;
-
-  // Single-process reference: the same request through the local registry.
-  std::vector<double> single_s;
-  double single_cost = 0.0;
-  bool single_proven = true;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    Stopwatch watch;
-    StatusOr<AdviseResponse> local = Advise(instance, cli.request);
-    single_s.push_back(watch.ElapsedSeconds());
-    if (!local.ok()) {
-      std::fprintf(stderr, "dist: single-process solve failed: %s\n",
-                   local.status().ToString().c_str());
-      return 1;
-    }
-    single_cost = local->result.cost;
-    single_proven = single_proven && local->result.proven_optimal;
-  }
-
-  const std::string worker_binary = FindWorkerBinary(argv0);
-  std::vector<std::unique_ptr<InProcessWorker>> thread_workers;
-  DistCoordinator::Options options;
-  options.num_workers = workers;
-  options.socket_path =
-      "/tmp/vpart_bench_dist_" + std::to_string(::getpid()) + ".sock";
-  if (!worker_binary.empty()) {
-    options.worker_binary = worker_binary;
-  } else {
-    std::fprintf(stderr,
-                 "dist: vpart_cli not found next to bench_parallel; using "
-                 "in-process workers\n");
-    options.spawn_workers = false;
-  }
-  StatusOr<std::unique_ptr<DistCoordinator>> coordinator =
-      DistCoordinator::Start(options);
-  if (coordinator.ok() && options.spawn_workers == false) {
-    for (int w = 0; w < workers; ++w) {
-      thread_workers.push_back(
-          std::make_unique<InProcessWorker>(options.socket_path));
-    }
-    if (!(*coordinator)->WaitForWorkers(workers, 30.0)) {
-      std::fprintf(stderr, "dist: in-process workers failed to attach\n");
-      return 1;
-    }
-  }
-  if (!coordinator.ok()) {
-    std::fprintf(stderr, "dist: coordinator start failed: %s\n",
-                 coordinator.status().ToString().c_str());
-    return 1;
-  }
-
-  std::vector<double> dist_s;
-  double dist_cost = 0.0;
-  bool dist_proven = true;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    Stopwatch watch;
-    StatusOr<AdviseResponse> sharded =
-        (*coordinator)->AdviseDistributed(instance, cli);
-    dist_s.push_back(watch.ElapsedSeconds());
-    if (!sharded.ok()) {
-      std::fprintf(stderr, "dist: distributed solve failed: %s\n",
-                   sharded.status().ToString().c_str());
-      (*coordinator)->Shutdown();
-      return 1;
-    }
-    dist_cost = sharded->result.cost;
-    dist_proven = dist_proven && sharded->result.proven_optimal;
-  }
-  const long requeued = (*coordinator)->requeued_total();
-  (*coordinator)->Shutdown();
-  for (auto& worker : thread_workers) {
-    const Status done = worker->Join();
-    if (!done.ok()) {
-      std::fprintf(stderr, "dist: worker exit: %s\n",
-                   done.ToString().c_str());
-    }
-  }
-
-  const double single = MinSeconds(single_s);
-  const double dist = MinSeconds(dist_s);
-  const double speedup = dist > 0.0 ? single / dist : 0.0;
-  const unsigned cores = std::thread::hardware_concurrency();
-  const bool objective_ok =
-      single_cost == dist_cost && single_proven && dist_proven;
-  const bool speedup_gated = cores >= 4;
-  const bool speedup_ok = !speedup_gated || speedup >= 2.0;
-  bool ok = objective_ok && speedup_ok;
-
-  std::printf("{\n");
-  std::printf("  \"bench\": \"dist\",\n");
-  std::printf("  \"hardware_concurrency\": %u,\n", cores);
-  std::printf("  \"quick\": %s,\n", quick ? "true" : "false");
-  std::printf("  \"dist_rndAt8x15_subtrees\": {\n");
-  std::printf("    \"workload\": \"rndAt8x15 ILP sites=2 exact proof; "
-              "B&B frontier sharded over %d worker processes\",\n",
-              workers);
-  std::printf("    \"workers\": %d,\n", workers);
-  std::printf("    \"worker_transport\": \"%s\",\n",
-              worker_binary.empty() ? "in-process threads"
-                                    : "spawned processes");
-  std::printf("    \"repetitions\": %d,\n", repetitions);
-  std::printf("    \"single_min_seconds\": %.6f,\n", single);
-  std::printf("    \"dist_min_seconds\": %.6f,\n", dist);
-  std::printf("    \"speedup\": %.2f,\n", speedup);
-  std::printf("    \"speedup_gate_2x\": \"%s\",\n",
-              !speedup_gated ? "skipped (fewer than 4 cores)"
-                             : (speedup_ok ? "ok" : "violated"));
-  std::printf("    \"objective\": %.17g,\n", dist_cost);
-  std::printf("    \"objective_match_ok\": %s,\n",
-              objective_ok ? "true" : "false");
-  std::printf("    \"proven_optimal\": %s,\n",
-              (single_proven && dist_proven) ? "true" : "false");
-  std::printf("    \"requeued_units\": %ld\n", requeued);
-  std::printf("  }\n");
-  std::printf("}\n");
-  if (!objective_ok) {
-    std::fprintf(stderr,
-                 "dist: objective equivalence violated (single %.17g "
-                 "proven=%d vs distributed %.17g proven=%d)\n",
-                 single_cost, single_proven ? 1 : 0, dist_cost,
-                 dist_proven ? 1 : 0);
-  }
-  if (speedup_gated && !speedup_ok) {
-    std::fprintf(stderr,
-                 "dist: speedup gate violated (%.2fx vs >=2x on %u cores)\n",
-                 speedup, cores);
-  }
-  if (baseline_path != nullptr) {
-    ok &= CheckDistBaseline(baseline_path, dist);
-  }
-  return ok ? 0 : 1;
-}
-
 int Main(bool api_only, bool cost_model_only) {
   if (cost_model_only) {
     Instance tpcc = MakeTpccInstance();
@@ -1427,24 +1210,6 @@ int main(int argc, char** argv) {
       }
     }
     return vpart::bench::ServeMain(quick, baseline);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--dist") == 0) {
-    bool quick = false;
-    const char* baseline = nullptr;
-    for (int arg = 2; arg < argc; ++arg) {
-      if (std::strcmp(argv[arg], "--quick") == 0) {
-        quick = true;
-      } else if (std::strcmp(argv[arg], "--baseline") == 0 &&
-                 arg + 1 < argc) {
-        baseline = argv[++arg];
-      } else {
-        std::fprintf(stderr,
-                     "usage: bench_parallel --dist [--quick] "
-                     "[--baseline FILE]\n");
-        return 2;
-      }
-    }
-    return vpart::bench::DistMain(quick, baseline, argv[0]);
   }
   if (argc > 1 && std::strcmp(argv[1], "--obs") == 0) {
     bool quick = false;

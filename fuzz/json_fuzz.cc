@@ -1,8 +1,9 @@
 // Fuzz harness over the JSON surface: the raw document parser
-// (JsonValue::Parse), serialization of whatever parsed, and the full
-// request-schema path (ParseCliRequest). The contract under test: arbitrary
-// bytes must produce a Status or a value — never a crash, hang, overflow,
-// or sanitizer report.
+// (JsonValue::Parse), serialization of whatever parsed, the full
+// request-schema path (ParseCliRequest), and the distributed wire decoder a
+// worker's table result goes through (DecodeAdvisorResult). The contract
+// under test: arbitrary bytes must produce a Status or a value — never a
+// crash, hang, overflow, or sanitizer report.
 //
 // Built two ways (see CMakeLists.txt):
 //   * json_fuzz_replay (always): a plain main() that replays every file in
@@ -13,13 +14,28 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "api/json.h"
 #include "api/request_json.h"
 #include "dist/wire_messages.h"
+#include "engine/batch_advisor.h"
+#include "instances/tpcc.h"
 
 namespace {
+
+/// The subinstance table results decode against: TPC-C's first table, as
+/// the coordinator would hold it after SplitInstanceByTable.
+const vpart::Instance& FuzzTable() {
+  static const vpart::Instance table = [] {
+    auto subs = vpart::SplitInstanceByTable(vpart::MakeTpccInstance());
+    if (!subs.ok() || subs->empty()) std::abort();
+    return std::move(subs->front().instance);
+  }();
+  return table;
+}
 
 void FuzzOne(const uint8_t* data, size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
@@ -28,22 +44,13 @@ void FuzzOne(const uint8_t* data, size_t size) {
   if (doc.ok()) {
     (void)doc->Serialize(2);
     (void)doc->Serialize(0);
-    // Distributed-wire decoders: what a coordinator/worker would do with
-    // a hostile peer's frame. Sub-payloads are tried whole-document too,
-    // so corpus entries can target one codec directly.
+    // Distributed-wire decoding: what a coordinator does with a hostile
+    // worker's frame. The "advisor" payload is tried whole-document too,
+    // so corpus entries can target the decoder directly.
     (void)vpart::DistMessageType(*doc);
-    (void)vpart::DecodeFixings(*doc);
-    (void)vpart::DecodeBasis(*doc);
-    (void)vpart::DecodeLpStats(*doc);
-    (void)vpart::DecodeMipResult(*doc);
-    if (const vpart::JsonValue* mip = doc->Find("mip")) {
-      (void)vpart::DecodeMipResult(*mip);
-    }
-    if (const vpart::JsonValue* basis = doc->Find("basis")) {
-      (void)vpart::DecodeBasis(*basis);
-    }
-    if (const vpart::JsonValue* fixings = doc->Find("fixings")) {
-      (void)vpart::DecodeFixings(*fixings);
+    (void)vpart::DecodeAdvisorResult(FuzzTable(), *doc);
+    if (const vpart::JsonValue* advisor = doc->Find("advisor")) {
+      (void)vpart::DecodeAdvisorResult(FuzzTable(), *advisor);
     }
   }
   // Schema layer on top: typed readers, unknown-key checks, enum parses.

@@ -11,14 +11,12 @@
 
 namespace vpart {
 
-/// Tracks every outstanding work unit of a distributed solve so nothing is
+/// Tracks every outstanding work unit of a distributed batch so nothing is
 /// lost when a worker dies. Units move pending -> assigned -> done; when a
 /// worker's connection drops (or its heartbeat lapses), Requeue() moves its
-/// assigned units back to the *front* of the pending queue — they carry the
-/// best bounds, so re-running them first keeps the proof tight. The
-/// coordinator certifies optimality only once AllDone() holds AND every
-/// completed unit reported an exhausted search; the ledger supplies the
-/// first half of that conjunction.
+/// assigned units back to the *front* of the pending queue, so the oldest
+/// outstanding work runs next. The coordinator merges a batch only once
+/// AllDone() holds.
 ///
 /// Thread-safe; reader threads, the dispatcher, and the heartbeat monitor
 /// all touch it concurrently.

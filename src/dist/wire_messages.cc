@@ -1,6 +1,5 @@
 #include "dist/wire_messages.h"
 
-#include <cmath>
 #include <utility>
 
 #include "cost/partitioning_io.h"
@@ -23,13 +22,6 @@ double NumberOr(const JsonValue& object, const char* key, double fallback) {
                                                   : fallback;
 }
 
-long LongOr(const JsonValue& object, const char* key, long fallback) {
-  const JsonValue* value = object.Find(key);
-  return (value != nullptr && value->is_number())
-             ? static_cast<long>(value->as_number())
-             : fallback;
-}
-
 bool BoolOr(const JsonValue& object, const char* key, bool fallback) {
   const JsonValue* value = object.Find(key);
   return (value != nullptr && value->is_bool()) ? value->as_bool() : fallback;
@@ -48,215 +40,6 @@ JsonValue MakeDistMessage(const std::string& type) {
   JsonValue message = JsonValue::MakeObject();
   message.Set("type", type);
   return message;
-}
-
-JsonValue EncodeBasis(const std::shared_ptr<const Basis>& basis) {
-  if (basis == nullptr || !basis->valid()) return JsonValue();  // null
-  JsonValue out = JsonValue::MakeObject();
-  JsonValue rows = JsonValue::MakeArray();
-  for (int column : basis->basic_of_row()) rows.Append(column);
-  out.Set("rows", std::move(rows));
-  // Column states are small enums; a digit string is ~8x denser on the
-  // wire than a JSON int array over thousands of columns.
-  std::string states;
-  states.reserve(basis->states().size());
-  for (uint8_t state : basis->states()) {
-    if (state > 9) return JsonValue();  // unencodable future state: drop
-    states.push_back(static_cast<char>('0' + state));
-  }
-  out.Set("states", states);
-  return out;
-}
-
-StatusOr<std::shared_ptr<const Basis>> DecodeBasis(const JsonValue& value) {
-  if (value.is_null()) return std::shared_ptr<const Basis>();
-  if (!value.is_object()) {
-    return InvalidArgumentError("dist message: basis must be an object");
-  }
-  const JsonValue* rows = value.Find("rows");
-  const JsonValue* states = value.Find("states");
-  if (rows == nullptr || !rows->is_array() || states == nullptr ||
-      !states->is_string()) {
-    return InvalidArgumentError("dist message: basis needs rows + states");
-  }
-  std::vector<int> basic_of_row;
-  basic_of_row.reserve(rows->as_array().size());
-  for (const JsonValue& row : rows->as_array()) {
-    if (!row.is_number()) {
-      return InvalidArgumentError("dist message: basis rows must be numbers");
-    }
-    basic_of_row.push_back(static_cast<int>(row.as_number()));
-  }
-  std::vector<uint8_t> state;
-  state.reserve(states->as_string().size());
-  for (char c : states->as_string()) {
-    if (c < '0' || c > '9') {
-      return InvalidArgumentError("dist message: bad basis state digit");
-    }
-    state.push_back(static_cast<uint8_t>(c - '0'));
-  }
-  if (basic_of_row.empty()) return std::shared_ptr<const Basis>();
-  return std::make_shared<const Basis>(
-      Basis::FromParts(std::move(basic_of_row), std::move(state)));
-}
-
-JsonValue EncodeFixings(const std::vector<BoundFix>& fixings) {
-  JsonValue out = JsonValue::MakeArray();
-  for (const BoundFix& fix : fixings) {
-    JsonValue triple = JsonValue::MakeArray();
-    triple.Append(fix.column);
-    triple.Append(fix.lower);
-    triple.Append(fix.upper);
-    out.Append(std::move(triple));
-  }
-  return out;
-}
-
-StatusOr<std::vector<BoundFix>> DecodeFixings(const JsonValue& value) {
-  if (!value.is_array()) {
-    return InvalidArgumentError("dist message: fixings must be an array");
-  }
-  std::vector<BoundFix> fixings;
-  fixings.reserve(value.as_array().size());
-  for (const JsonValue& entry : value.as_array()) {
-    if (!entry.is_array() || entry.as_array().size() != 3 ||
-        !entry.as_array()[0].is_number() ||
-        !entry.as_array()[1].is_number() ||
-        !entry.as_array()[2].is_number()) {
-      return InvalidArgumentError(
-          "dist message: each fixing must be [column, lower, upper]");
-    }
-    BoundFix fix;
-    fix.column = static_cast<int>(entry.as_array()[0].as_number());
-    fix.lower = entry.as_array()[1].as_number();
-    fix.upper = entry.as_array()[2].as_number();
-    if (fix.column < 0 || fix.lower > fix.upper) {
-      return InvalidArgumentError("dist message: fixing out of range");
-    }
-    fixings.push_back(fix);
-  }
-  return fixings;
-}
-
-JsonValue EncodeLpStats(const LpSolveStats& stats) {
-  JsonValue out = JsonValue::MakeObject();
-  out.Set("lp_solves", stats.lp_solves);
-  out.Set("warm_starts", stats.warm_starts);
-  out.Set("cold_starts", stats.cold_starts);
-  out.Set("warm_start_failures", stats.warm_start_failures);
-  out.Set("primal_iterations", stats.primal_iterations);
-  out.Set("phase1_iterations", stats.phase1_iterations);
-  out.Set("dual_iterations", stats.dual_iterations);
-  out.Set("factorizations", stats.factorizations);
-  out.Set("ft_updates", stats.ft_updates);
-  out.Set("bound_flips", stats.bound_flips);
-  out.Set("se_resets", stats.se_resets);
-  out.Set("refactor_updates", stats.refactor_updates);
-  out.Set("refactor_fill", stats.refactor_fill);
-  out.Set("refactor_stability", stats.refactor_stability);
-  out.Set("audits_run", stats.audits_run);
-  out.Set("audit_failures", stats.audit_failures);
-  out.Set("lp_seconds", stats.lp_seconds);
-  return out;
-}
-
-StatusOr<LpSolveStats> DecodeLpStats(const JsonValue& value) {
-  if (!value.is_object()) {
-    return InvalidArgumentError("dist message: lp stats must be an object");
-  }
-  LpSolveStats stats;
-  stats.lp_solves = LongOr(value, "lp_solves", 0);
-  stats.warm_starts = LongOr(value, "warm_starts", 0);
-  stats.cold_starts = LongOr(value, "cold_starts", 0);
-  stats.warm_start_failures = LongOr(value, "warm_start_failures", 0);
-  stats.primal_iterations = LongOr(value, "primal_iterations", 0);
-  stats.phase1_iterations = LongOr(value, "phase1_iterations", 0);
-  stats.dual_iterations = LongOr(value, "dual_iterations", 0);
-  stats.factorizations = LongOr(value, "factorizations", 0);
-  stats.ft_updates = LongOr(value, "ft_updates", 0);
-  stats.bound_flips = LongOr(value, "bound_flips", 0);
-  stats.se_resets = LongOr(value, "se_resets", 0);
-  stats.refactor_updates = LongOr(value, "refactor_updates", 0);
-  stats.refactor_fill = LongOr(value, "refactor_fill", 0);
-  stats.refactor_stability = LongOr(value, "refactor_stability", 0);
-  stats.audits_run = LongOr(value, "audits_run", 0);
-  stats.audit_failures = LongOr(value, "audit_failures", 0);
-  stats.lp_seconds = NumberOr(value, "lp_seconds", 0.0);
-  return stats;
-}
-
-JsonValue EncodeMipResult(const MipResult& result) {
-  JsonValue out = JsonValue::MakeObject();
-  out.Set("status", MipStatusName(result.status));
-  if (result.has_incumbent()) {
-    out.Set("objective", result.objective);
-    JsonValue values = JsonValue::MakeArray();
-    for (double v : result.values) values.Append(v);
-    out.Set("values", std::move(values));
-  }
-  if (std::isfinite(result.best_bound)) {
-    out.Set("best_bound", result.best_bound);
-  }
-  out.Set("nodes", result.nodes);
-  out.Set("search_exhausted", result.search_exhausted);
-  out.Set("pruned_by_external_bound", result.pruned_by_external_bound);
-  out.Set("seconds", result.seconds);
-  out.Set("lp", EncodeLpStats(result.lp_stats));
-  return out;
-}
-
-StatusOr<MipResult> DecodeMipResult(const JsonValue& value) {
-  if (!value.is_object()) {
-    return InvalidArgumentError("dist message: mip result must be an object");
-  }
-  const JsonValue* status = value.Find("status");
-  if (status == nullptr || !status->is_string()) {
-    return InvalidArgumentError("dist message: mip result needs a status");
-  }
-  MipResult result;
-  const std::string& name = status->as_string();
-  if (name == "OPTIMAL") {
-    result.status = MipStatus::kOptimal;
-  } else if (name == "FEASIBLE") {
-    result.status = MipStatus::kFeasible;
-  } else if (name == "INFEASIBLE") {
-    result.status = MipStatus::kInfeasible;
-  } else if (name == "NO_SOLUTION") {
-    result.status = MipStatus::kNoSolution;
-  } else {
-    return InvalidArgumentError("dist message: unknown mip status \"" + name +
-                                "\"");
-  }
-  if (result.has_incumbent()) {
-    StatusOr<double> objective = NumberField(value, "objective");
-    VPART_RETURN_IF_ERROR(objective.status());
-    result.objective = *objective;
-    const JsonValue* values = value.Find("values");
-    if (values == nullptr || !values->is_array()) {
-      return InvalidArgumentError(
-          "dist message: mip incumbent needs its values");
-    }
-    result.values.reserve(values->as_array().size());
-    for (const JsonValue& v : values->as_array()) {
-      if (!v.is_number()) {
-        return InvalidArgumentError("dist message: values must be numbers");
-      }
-      result.values.push_back(v.as_number());
-    }
-  }
-  result.best_bound = NumberOr(value, "best_bound", -kLpInfinity);
-  result.nodes = LongOr(value, "nodes", 0);
-  result.search_exhausted = BoolOr(value, "search_exhausted", false);
-  result.pruned_by_external_bound =
-      BoolOr(value, "pruned_by_external_bound", false);
-  result.seconds = NumberOr(value, "seconds", 0.0);
-  if (const JsonValue* lp = value.Find("lp")) {
-    StatusOr<LpSolveStats> stats = DecodeLpStats(*lp);
-    VPART_RETURN_IF_ERROR(stats.status());
-    result.lp_stats = *stats;
-    result.lp_iterations = result.lp_stats.total_iterations();
-  }
-  return result;
 }
 
 JsonValue EncodeAdvisorResult(const Instance& instance,

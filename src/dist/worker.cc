@@ -7,35 +7,20 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "api/advise.h"
 #include "api/request_json.h"
-#include "cost/cost_model_registry.h"
 #include "dist/wire_messages.h"
 #include "engine/batch_advisor.h"
-#include "engine/thread_pool.h"
-#include "mip/branch_and_bound.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "solver/formulation.h"
-#include "solver/latency.h"
 #include "util/wire.h"
 
 namespace vpart {
 namespace {
-
-void UpdateMin(std::atomic<double>& target, double candidate) {
-  double current = target.load(std::memory_order_relaxed);
-  while (candidate < current &&
-         !target.compare_exchange_weak(current, candidate,
-                                       std::memory_order_relaxed)) {
-  }
-}
 
 long LongField(const JsonValue& message, const char* key, long fallback) {
   const JsonValue* value = message.Find(key);
@@ -49,13 +34,6 @@ long LongField(const JsonValue& message, const char* key, long fallback) {
 /// never races a unit still solving under the previous one.
 struct WorkerJob {
   CliRequest cli;
-  CancellationToken token;
-  long session = 0;
-  // Subtree mode.
-  std::shared_ptr<const Instance> instance;
-  std::shared_ptr<const CostCoefficients> cost_model;
-  std::optional<IlpFormulation> formulation;
-  // Table mode.
   std::vector<TableSubinstance> subs;
 };
 
@@ -67,10 +45,9 @@ Status RunDistWorker(Transport& transport, const WorkerOptions& options) {
   VPART_RETURN_IF_ERROR(transport.Send(hello));
 
   std::atomic<bool> stop{false};
-  std::atomic<double> external_ub{kLpInfinity};
 
-  // Heartbeats ride their own thread so a long node LP cannot starve them
-  // into a false death verdict.
+  // Heartbeats ride their own thread so a long table solve cannot starve
+  // them into a false death verdict.
   std::mutex hb_mu;
   std::condition_variable hb_cv;
   std::thread heartbeat([&] {
@@ -91,9 +68,8 @@ Status RunDistWorker(Transport& transport, const WorkerOptions& options) {
     hb_cv.notify_all();
   };
 
-  // Jobs and units queue in arrival order for the solver thread; the
-  // receive loop itself only handles the instant messages (incumbent
-  // broadcasts, shutdown) so a running subtree search never blocks them.
+  // Jobs and units queue in arrival order for the solver thread, so the
+  // receive loop notices a shutdown while a table is still solving.
   std::mutex q_mu;
   std::condition_variable q_cv;
   std::deque<JsonValue> queue;
@@ -105,14 +81,12 @@ Status RunDistWorker(Transport& transport, const WorkerOptions& options) {
   std::thread solver([&] {
     WorkerJob job;
     bool got_job = false;
-    std::function<StatusOr<JsonValue>(const JsonValue&)> solve_unit;
     int sent = 0;
 
     auto handle_job = [&](const JsonValue& message) -> Status {
       const JsonValue* request = message.Find("request");
-      const JsonValue* mode = message.Find("mode");
-      if (request == nullptr || mode == nullptr || !mode->is_string()) {
-        return InvalidArgumentError("dist worker: job needs mode + request");
+      if (request == nullptr) {
+        return InvalidArgumentError("dist worker: job needs a request");
       }
       // Revalidate through the same parser every other entry point uses: a
       // coordinator bug cannot smuggle an inconsistent job past the schema.
@@ -120,116 +94,33 @@ Status RunDistWorker(Transport& transport, const WorkerOptions& options) {
       VPART_RETURN_IF_ERROR(parsed.status());
       StatusOr<Instance> loaded = LoadCliInstance(*parsed);
       VPART_RETURN_IF_ERROR(loaded.status());
-
-      job = WorkerJob();
+      StatusOr<std::vector<TableSubinstance>> split =
+          SplitInstanceByTable(*loaded);
+      VPART_RETURN_IF_ERROR(split.status());
       job.cli = std::move(*parsed);
-      job.session = LongField(message, "session", 0);
-      job.token =
-          CancellationToken::WithDeadline(job.cli.request.time_limit_seconds);
-      // A fresh session starts with no incumbent; broadcasts refill this.
-      // (A broadcast racing this reset is only ever lost, never misapplied
-      // to pruning decisions that matter — stale-session results are
-      // discarded by the coordinator.)
-      external_ub.store(kLpInfinity, std::memory_order_relaxed);
-      const AdviseRequest& advise = job.cli.request;
-
-      if (mode->as_string() == "subtrees") {
-        job.instance = std::make_shared<const Instance>(std::move(*loaded));
-        StatusOr<std::shared_ptr<const CostCoefficients>> built =
-            CostModelRegistry::Global().Build(job.instance, advise.cost,
-                                              advise.cost_model);
-        VPART_RETURN_IF_ERROR(built.status());
-        job.cost_model = std::move(*built);
-        FormulationOptions fopts;
-        fopts.num_sites = advise.num_sites;
-        fopts.allow_replication = advise.allow_replication;
-        job.formulation.emplace(BuildIlpFormulation(*job.cost_model, fopts));
-        if (advise.latency_penalty > 0) {
-          AddLatencyToFormulation(*job.cost_model, advise.latency_penalty,
-                                  *job.formulation);
-        }
-        solve_unit = [&](const JsonValue& unit) -> StatusOr<JsonValue> {
-          const JsonValue* fx = unit.Find("fixings");
-          StatusOr<std::vector<BoundFix>> fixings =
-              DecodeFixings(fx != nullptr ? *fx : JsonValue::MakeArray());
-          VPART_RETURN_IF_ERROR(fixings.status());
-          const JsonValue* bv = unit.Find("basis");
-          StatusOr<std::shared_ptr<const Basis>> basis =
-              DecodeBasis(bv != nullptr ? *bv : JsonValue());
-          VPART_RETURN_IF_ERROR(basis.status());
-
-          LpModel model = job.formulation->model;
-          for (const BoundFix& fix : *fixings) {
-            if (fix.column >= model.num_variables()) {
-              return InvalidArgumentError(
-                  "dist worker: fixing column outside the model");
-            }
-            model.SetVariableBounds(fix.column, fix.lower, fix.upper);
-          }
-
-          const AdviseRequest& req = job.cli.request;
-          MipOptions mip;
-          mip.time_limit_seconds = job.token.SolverBudgetSeconds();
-          mip.relative_gap = req.ilp.mip_gap;
-          mip.lp_options.audit_level = req.ilp.lp_audit;
-          mip.enable_dive = req.ilp.enable_dive;
-          mip.num_threads =
-              req.ilp.bnb_threads > 0 ? req.ilp.bnb_threads : 1;
-          mip.root_basis = *basis;
-          mip.external_upper_bound = &external_ub;
-          mip.cancel_flag = &stop;
-          const long session = job.session;
-          mip.progress = [&, session](const MipProgress& progress) {
-            if (progress.incumbent_values.empty()) return;
-            UpdateMin(external_ub, progress.incumbent_objective);
-            JsonValue incumbent = MakeDistMessage(kDistMsgIncumbent);
-            incumbent.Set("session", session);
-            incumbent.Set("objective", progress.incumbent_objective);
-            JsonValue values = JsonValue::MakeArray();
-            for (double v : progress.incumbent_values) values.Append(v);
-            incumbent.Set("values", std::move(values));
-            (void)transport.Send(incumbent);
-          };
-
-          MipResult result = SolveMip(model, mip);
-          if (result.has_incumbent()) {
-            UpdateMin(external_ub, result.objective);
-          }
-          JsonValue reply = MakeDistMessage(kDistMsgUnitResult);
-          reply.Set("mip", EncodeMipResult(result));
-          return reply;
-        };
-      } else if (mode->as_string() == "tables") {
-        StatusOr<std::vector<TableSubinstance>> split =
-            SplitInstanceByTable(*loaded);
-        VPART_RETURN_IF_ERROR(split.status());
-        job.subs = std::move(*split);
-        solve_unit = [&](const JsonValue& unit) -> StatusOr<JsonValue> {
-          const JsonValue* table = unit.Find("table");
-          if (table == nullptr || !table->is_number()) {
-            return InvalidArgumentError("dist worker: unit needs a table");
-          }
-          const int t = static_cast<int>(table->as_number());
-          if (t < 0 || t >= static_cast<int>(job.subs.size())) {
-            return InvalidArgumentError(
-                "dist worker: table index out of range");
-          }
-          // The exact per-table call AdviseSchema's in-process pool makes,
-          // so the merged advice is byte-identical to a local batch.
-          StatusOr<AdviseResponse> advised =
-              Advise(job.subs[t].instance, job.cli.request);
-          VPART_RETURN_IF_ERROR(advised.status());
-          JsonValue reply = MakeDistMessage(kDistMsgUnitResult);
-          reply.Set("advisor", EncodeAdvisorResult(job.subs[t].instance,
-                                                   advised->result));
-          return reply;
-        };
-      } else {
-        return InvalidArgumentError("dist worker: unknown mode \"" +
-                                    mode->as_string() + "\"");
-      }
+      job.subs = std::move(*split);
       got_job = true;
       return Status::Ok();
+    };
+
+    auto solve_unit = [&](const JsonValue& unit) -> StatusOr<JsonValue> {
+      const JsonValue* table = unit.Find("table");
+      if (table == nullptr || !table->is_number()) {
+        return InvalidArgumentError("dist worker: unit needs a table");
+      }
+      const int t = static_cast<int>(table->as_number());
+      if (t < 0 || t >= static_cast<int>(job.subs.size())) {
+        return InvalidArgumentError("dist worker: table index out of range");
+      }
+      // The exact per-table call AdviseSchema's in-process pool makes, so
+      // the merged advice is byte-identical to a local batch.
+      StatusOr<AdviseResponse> advised =
+          Advise(job.subs[t].instance, job.cli.request);
+      VPART_RETURN_IF_ERROR(advised.status());
+      JsonValue reply = MakeDistMessage(kDistMsgUnitResult);
+      reply.Set("advisor",
+                EncodeAdvisorResult(job.subs[t].instance, advised->result));
+      return reply;
     };
 
     while (true) {
@@ -295,13 +186,6 @@ Status RunDistWorker(Transport& transport, const WorkerOptions& options) {
     }
     const std::string type = DistMessageType(*message);
     if (type == kDistMsgShutdown) break;
-    if (type == kDistMsgIncumbent) {
-      const JsonValue* objective = message->Find("objective");
-      if (objective != nullptr && objective->is_number()) {
-        UpdateMin(external_ub, objective->as_number());
-      }
-      continue;
-    }
     if (type == kDistMsgJob || type == kDistMsgUnit) {
       {
         std::lock_guard<std::mutex> lock(q_mu);

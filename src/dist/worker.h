@@ -27,12 +27,10 @@ struct WorkerOptions {
 /// session ends; returns Ok on an orderly shutdown or clean coordinator
 /// close, the underlying error otherwise.
 ///
-/// Subtree units solve through the same SolveMip the single-process path
-/// uses, over a model rebuilt from the job's embedded instance text — the
-/// .vpi format round-trips doubles exactly and the formulation build is
-/// deterministic, so the worker's model is bit-identical to the
-/// coordinator's. Table units run the full Advise() pipeline on the
-/// deterministically re-split per-table subinstance.
+/// Each unit is one table: the worker rebuilds the instance from the job's
+/// embedded .vpi text (which round-trips doubles exactly), re-splits it per
+/// table deterministically, and runs the full Advise() pipeline on the
+/// unit's subinstance.
 Status RunDistWorker(Transport& transport, const WorkerOptions& options = {});
 
 /// Connects to a coordinator's Unix socket and runs RunDistWorker — the

@@ -8,8 +8,6 @@
 #include <mutex>
 #include <set>
 
-#include "mip/frontier.h"
-
 #include "engine/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -169,14 +167,12 @@ class NodeLpSolver {
 };
 
 // ---------------------------------------------------------------------------
-// The search core. One loop serves every mode; the call fixes the pop order
-// and the executor:
-//  * SolveMip, num_threads == 1: LIFO plunging (the LP-preferred child is
-//    explored next), run inline on the caller's thread;
-//  * SolveMip, num_threads > 1: best-first on (bound, id), the same loop run
-//    by a pool of workers;
-//  * ExpandFrontier: best-first on one thread, stopping once the open set is
-//    wide enough to farm out.
+// The search core. One loop serves both modes; the thread count fixes the
+// pop order and the executor:
+//  * num_threads == 1: LIFO plunging (the LP-preferred child is explored
+//    next), run inline on the caller's thread;
+//  * num_threads > 1: best-first on (bound, id), the same loop run by a pool
+//    of workers.
 // Every member from mu_ down is guarded by it (diving_ is atomic); workers
 // solve node LPs on their own engines outside the lock.
 // ---------------------------------------------------------------------------
@@ -227,25 +223,15 @@ void MaterializeBounds(const LpModel& model, const SearchNode& node,
 
 class Search {
  public:
-  /// `open_target` > 0 stops the search once that many nodes are open and
-  /// drops the open nodes the incumbent already proves (frontier expansion;
-  /// single-threaded only). The search plunges unless it runs on several
-  /// threads or toward an open target; then it pops best-first.
-  Search(const LpModel& model, const MipOptions& options, int num_threads,
-         size_t open_target = 0)
+  /// The search plunges on one thread and pops best-first on several.
+  Search(const LpModel& model, const MipOptions& options, int num_threads)
       : model_(model),
         options_(options),
         num_threads_(std::max(num_threads, 1)),
-        open_target_(open_target),
         deadline_(options.time_limit_seconds),
-        open_(PopOrder{num_threads > 1 || open_target > 0}) {}
+        open_(PopOrder{num_threads > 1}) {}
 
   MipResult Run();
-
-  /// The nodes still open after Run(), in pop order.
-  const std::set<NodePtr, PopOrder>& open() const { return open_; }
-  /// An LP failure dropped a subtree somewhere in the search.
-  bool any_lp_failure() const { return any_lp_failure_; }
 
  private:
   void Worker();
@@ -285,7 +271,6 @@ class Search {
   const LpModel& model_;
   const MipOptions& options_;
   const int num_threads_;
-  const size_t open_target_;
   Deadline deadline_;
   Stopwatch watch_;
 
@@ -529,7 +514,6 @@ void Search::Worker() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {
     if (open_.empty() && active_ == 0) break;  // tree exhausted
-    if (open_target_ > 0 && open_.size() >= open_target_) break;
     if (deadline_.Expired() || Cancelled(options_) ||
         (options_.max_nodes > 0 && nodes_processed_ >= options_.max_nodes)) {
       limit_hit_ = true;
@@ -607,19 +591,6 @@ MipResult Search::Run() {
 MipResult Search::Finish() {
   // Workers are joined; the lock only keeps the *Locked helpers honest.
   std::lock_guard<std::mutex> lock(mu_);
-  if (open_target_ > 0) {
-    // Frontier hand-off: nodes the incumbent already proves are dropped
-    // here instead of shipped.
-    for (auto it = open_.begin(); it != open_.end();) {
-      if (!PruneBoundLocked((*it)->bound)) {
-        ++it;
-        continue;
-      }
-      EraseOpenBoundLocked((*it)->bound);
-      it = open_.erase(it);
-    }
-  }
-
   MipResult result;
   result.seconds = watch_.ElapsedSeconds();
   result.nodes = nodes_processed_;
@@ -675,33 +646,6 @@ MipResult Search::Finish() {
 
 MipResult SolveMip(const LpModel& model, const MipOptions& options) {
   return Search(model, options, options.num_threads).Run();
-}
-
-FrontierExpansion ExpandFrontier(const LpModel& model,
-                                 const MipOptions& options, int target_units) {
-  Search search(model, options, /*num_threads=*/1,
-                static_cast<size_t>(std::max(target_units, 1)));
-  FrontierExpansion out;
-  out.root = search.Run();
-  out.clean = !search.any_lp_failure();
-  // Each open node becomes a unit: its fixings are the columns whose
-  // materialized bounds differ from the model's own.
-  std::vector<std::pair<double, double>> bounds(model.num_variables());
-  for (const NodePtr& node : search.open()) {
-    FrontierUnit unit;
-    unit.id = node->id;
-    unit.bound = node->bound;
-    unit.basis = node->warm;
-    MaterializeBounds(model, *node, bounds);
-    for (int j = 0; j < model.num_variables(); ++j) {
-      if (bounds[j].first != model.variable(j).lower ||
-          bounds[j].second != model.variable(j).upper) {
-        unit.fixings.push_back({j, bounds[j].first, bounds[j].second});
-      }
-    }
-    out.units.push_back(std::move(unit));
-  }
-  return out;
 }
 
 }  // namespace vpart

@@ -1,14 +1,15 @@
-// End-to-end distributed solving (dist/coordinator.h + dist/worker.h):
+// End-to-end distributed batches (dist/coordinator.h + dist/worker.h):
 // coordinator and workers inside one process (InProcessWorker threads —
-// what the TSan CI leg runs), plus a spawned-process leg with a mid-solve
+// what the TSan CI leg runs), plus a spawned-process leg with a mid-session
 // SIGKILL. The load-bearing contracts:
 //
-//   * equivalence — a distributed solve (subtree or table sharding, any
-//     worker count) certifies the same objective as the single-process
-//     solve of the same request;
+//   * equivalence — a distributed batch (any worker count) gives every
+//     table the same cost, proof flag and partitioning as a local
+//     AdviseSchema of the same request, and so the same merged advice;
 //   * fault tolerance — killing a worker mid-session loses no units: the
-//     ledger requeues them and the final result is still proven optimal
-//     and passes the independent SolutionCertifier;
+//     ledger requeues them and the merged advice does not change;
+//   * loud failure — a worker's rejection of the job fails the session
+//     with the worker's own reason;
 //   * clean teardown — Shutdown() joins every thread (TSan-checked).
 
 #include <sys/types.h>
@@ -22,8 +23,10 @@
 #include <vector>
 
 #include "api/advise.h"
-#include "api/request_json.h"
+#include "cost/partitioning_io.h"
 #include "dist/coordinator.h"
+#include "dist/transport.h"
+#include "dist/wire_messages.h"
 #include "dist/worker.h"
 #include "engine/batch_advisor.h"
 #include "gtest/gtest.h"
@@ -64,102 +67,49 @@ Cluster StartCluster(const char* tag, int num_workers,
   return cluster;
 }
 
-CliRequest SubtreeRequest(double time_limit = 60.0) {
-  CliRequest cli;
-  cli.request.solver = "ilp";
-  cli.request.num_sites = 3;
-  cli.request.time_limit_seconds = time_limit;
-  cli.request.ilp.warm_start_seconds = 0.1;
-  cli.request.certify = true;  // independent SolutionCertifier pass
-  cli.request.obs = ObsLevel::kOff;
-  return cli;
-}
-
-TEST(DistSubtreeTest, TpccMatchesSingleProcessWithTwoWorkers) {
-  const Instance tpcc = MakeTpccInstance();
-  CliRequest cli = SubtreeRequest();
-  auto local = Advise(tpcc, cli.request);
-  ASSERT_TRUE(local.ok()) << local.status().ToString();
-  ASSERT_TRUE(local->result.proven_optimal);
-  ASSERT_TRUE(local->certified);
-
-  Cluster cluster = StartCluster("t2", /*num_workers=*/2);
-  ASSERT_NE(cluster.coordinator, nullptr);
-  auto dist = cluster.coordinator->AdviseDistributed(tpcc, cli);
-  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  EXPECT_EQ(dist->result.cost, local->result.cost);
-  EXPECT_TRUE(dist->result.proven_optimal);
-  EXPECT_TRUE(dist->certified);
-  EXPECT_EQ(dist->solver_used, "dist");
-  EXPECT_EQ(cluster.coordinator->requeued_total(), 0);
-  cluster.coordinator->Shutdown();
-  for (auto& worker : cluster.workers) {
-    EXPECT_TRUE(worker->Join().ok());
-  }
-}
-
-TEST(DistSubtreeTest, TpccMatchesSingleProcessWithFourWorkers) {
-  const Instance tpcc = MakeTpccInstance();
-  CliRequest cli = SubtreeRequest();
-  cli.dist.frontier_units = 12;
-  auto local = Advise(tpcc, cli.request);
-  ASSERT_TRUE(local.ok()) << local.status().ToString();
-
-  Cluster cluster = StartCluster("t4", /*num_workers=*/4);
-  ASSERT_NE(cluster.coordinator, nullptr);
-  auto dist = cluster.coordinator->AdviseDistributed(tpcc, cli);
-  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  EXPECT_EQ(dist->result.cost, local->result.cost);
-  EXPECT_TRUE(dist->result.proven_optimal);
-  EXPECT_TRUE(dist->certified);
-  cluster.coordinator->Shutdown();
-}
-
-TEST(DistSubtreeTest, RandomInstanceMatchesSingleProcess) {
-  auto instance = MakeNamedRandomInstance("rndAt8x15");
-  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
-  CliRequest cli = SubtreeRequest();
-  cli.request.num_sites = 2;
-  auto local = Advise(*instance, cli.request);
-  ASSERT_TRUE(local.ok()) << local.status().ToString();
-  ASSERT_TRUE(local->result.proven_optimal);
-
-  Cluster cluster = StartCluster("rnd", /*num_workers=*/2);
-  ASSERT_NE(cluster.coordinator, nullptr);
-  auto dist = cluster.coordinator->AdviseDistributed(*instance, cli);
-  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  EXPECT_EQ(dist->result.cost, local->result.cost);
-  EXPECT_TRUE(dist->result.proven_optimal);
-  EXPECT_TRUE(dist->certified);
-  cluster.coordinator->Shutdown();
-}
-
-TEST(DistSubtreeTest, SequentialSessionsReuseTheCluster) {
-  const Instance tpcc = MakeTpccInstance();
-  CliRequest cli = SubtreeRequest();
-  auto local = Advise(tpcc, cli.request);
-  ASSERT_TRUE(local.ok()) << local.status().ToString();
-
-  Cluster cluster = StartCluster("seq", /*num_workers=*/2);
-  ASSERT_NE(cluster.coordinator, nullptr);
-  for (int round = 0; round < 2; ++round) {
-    auto dist = cluster.coordinator->AdviseDistributed(tpcc, cli);
-    ASSERT_TRUE(dist.ok()) << "round " << round << ": "
-                           << dist.status().ToString();
-    EXPECT_EQ(dist->result.cost, local->result.cost);
-    EXPECT_TRUE(dist->result.proven_optimal);
-  }
-  cluster.coordinator->Shutdown();
-}
-
-TEST(DistTableTest, TpccBatchMatchesLocalAdviseSchema) {
-  const Instance tpcc = MakeTpccInstance();
+/// A deterministic per-table request: serial B&B with no time-budgeted SA
+/// warm start, so every run proves the same optimum with the same layout.
+BatchAdviseRequest TableRequest() {
   BatchAdviseRequest batch;
   batch.request.solver = "ilp";
   batch.request.num_sites = 3;
   batch.request.time_limit_seconds = 60.0;
-  batch.request.ilp.warm_start_seconds = 0.1;
+  batch.request.ilp.warm_start_seconds = 0.0;
+  batch.request.certify = true;  // independent SolutionCertifier pass
   batch.request.obs = ObsLevel::kOff;
+  return batch;
+}
+
+/// Every table's cost, proof flag and partitioning (as partitioning_io
+/// text over its subinstance), plus the merged cost and layout, match.
+void ExpectSameAdvice(const Instance& instance,
+                      const BatchAdvisorResult& local,
+                      const BatchAdvisorResult& dist) {
+  auto subs = SplitInstanceByTable(instance);
+  ASSERT_TRUE(subs.ok()) << subs.status().ToString();
+  ASSERT_EQ(local.tables.size(), subs->size());
+  ASSERT_EQ(dist.tables.size(), subs->size());
+  for (size_t i = 0; i < subs->size(); ++i) {
+    const Instance& table = (*subs)[i].instance;
+    const AdvisorResult& want = local.tables[i].result;
+    const AdvisorResult& got = dist.tables[i].result;
+    EXPECT_EQ(dist.tables[i].table_id, local.tables[i].table_id);
+    EXPECT_EQ(got.cost, want.cost) << "table " << local.tables[i].table_name;
+    EXPECT_EQ(got.proven_optimal, want.proven_optimal)
+        << "table " << local.tables[i].table_name;
+    EXPECT_EQ(WritePartitioningText(table, got.partitioning),
+              WritePartitioningText(table, want.partitioning))
+        << "table " << local.tables[i].table_name;
+  }
+  EXPECT_EQ(dist.combined.cost, local.combined.cost);
+  EXPECT_EQ(dist.combined.single_site_cost, local.combined.single_site_cost);
+  EXPECT_EQ(WritePartitioningText(instance, dist.combined.partitioning),
+            WritePartitioningText(instance, local.combined.partitioning));
+}
+
+TEST(DistTableTest, TpccBatchMatchesLocalAdviseSchema) {
+  const Instance tpcc = MakeTpccInstance();
+  const BatchAdviseRequest batch = TableRequest();
   auto local = AdviseSchema(tpcc, batch);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
 
@@ -167,38 +117,114 @@ TEST(DistTableTest, TpccBatchMatchesLocalAdviseSchema) {
   ASSERT_NE(cluster.coordinator, nullptr);
   auto dist = cluster.coordinator->AdviseSchemaDistributed(tpcc, batch);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  ASSERT_EQ(dist->tables.size(), local->tables.size());
-  EXPECT_EQ(dist->combined.cost, local->combined.cost);
-  EXPECT_EQ(dist->combined.single_site_cost,
-            local->combined.single_site_cost);
-  for (size_t i = 0; i < local->tables.size(); ++i) {
-    EXPECT_EQ(dist->tables[i].result.cost, local->tables[i].result.cost)
-        << "table " << local->tables[i].table_name;
-    EXPECT_EQ(dist->tables[i].result.proven_optimal,
-              local->tables[i].result.proven_optimal);
+  ExpectSameAdvice(tpcc, *local, *dist);
+  EXPECT_EQ(cluster.coordinator->requeued_total(), 0);
+  cluster.coordinator->Shutdown();
+  for (auto& worker : cluster.workers) {
+    EXPECT_TRUE(worker->Join().ok());
+  }
+}
+
+TEST(DistTableTest, RandomInstanceBatchMatchesLocalWithFourWorkers) {
+  auto instance = MakeNamedRandomInstance("rndAt8x15");  // 8 tables
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  BatchAdviseRequest batch = TableRequest();
+  batch.request.num_sites = 2;
+  auto local = AdviseSchema(*instance, batch);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+
+  Cluster cluster = StartCluster("rnd", /*num_workers=*/4);
+  ASSERT_NE(cluster.coordinator, nullptr);
+  auto dist = cluster.coordinator->AdviseSchemaDistributed(*instance, batch);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  ExpectSameAdvice(*instance, *local, *dist);
+  cluster.coordinator->Shutdown();
+}
+
+TEST(DistTableTest, SequentialSessionsReuseTheCluster) {
+  const Instance tpcc = MakeTpccInstance();
+  const BatchAdviseRequest batch = TableRequest();
+  auto local = AdviseSchema(tpcc, batch);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+
+  Cluster cluster = StartCluster("seq", /*num_workers=*/2);
+  ASSERT_NE(cluster.coordinator, nullptr);
+  for (int round = 0; round < 2; ++round) {
+    auto dist = cluster.coordinator->AdviseSchemaDistributed(tpcc, batch);
+    ASSERT_TRUE(dist.ok()) << "round " << round << ": "
+                           << dist.status().ToString();
+    ExpectSameAdvice(tpcc, *local, *dist);
   }
   cluster.coordinator->Shutdown();
 }
 
+/// A worker that rejects the session's job answers with "id": -1. The
+/// session must fail with that worker's own reason, not with whatever the
+/// worker says about the units it was sent afterwards.
+TEST(DistTableTest, WorkerJobErrorFailsTheSession) {
+  DistCoordinator::Options options;
+  options.socket_path = TestSocket("joberr");
+  options.num_workers = 1;
+  options.spawn_workers = false;
+  auto started = DistCoordinator::Start(options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  auto& coordinator = *started;
+
+  std::thread fake([&] {
+    auto transport = ConnectUds(options.socket_path);
+    ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+    JsonValue hello = MakeDistMessage(kDistMsgHello);
+    hello.Set("pid", static_cast<long>(::getpid()));
+    ASSERT_TRUE((*transport)->Send(hello).ok());
+    while (true) {
+      StatusOr<JsonValue> message = (*transport)->Receive();
+      if (!message.ok()) break;
+      const std::string type = DistMessageType(*message);
+      if (type == kDistMsgShutdown) break;
+      const JsonValue* session = message->Find("session");
+      JsonValue reply = MakeDistMessage(kDistMsgUnitError);
+      reply.Set("session", session != nullptr ? session->as_number() : 0.0);
+      if (type == kDistMsgJob) {
+        reply.Set("id", -1L);
+        reply.Set("error", "boom");
+      } else {
+        // What a real worker says about units that follow a failed job.
+        const JsonValue* id = message->Find("id");
+        reply.Set("id", id != nullptr ? id->as_number() : -1.0);
+        reply.Set("error", "dist worker: unit before job");
+      }
+      if (!(*transport)->Send(reply).ok()) break;
+    }
+    (*transport)->Close();
+  });
+
+  ASSERT_TRUE(coordinator->WaitForWorkers(1, 30.0));
+  const Instance tpcc = MakeTpccInstance();
+  auto dist = coordinator->AdviseSchemaDistributed(tpcc, TableRequest());
+  ASSERT_FALSE(dist.ok());
+  EXPECT_NE(dist.status().message().find("boom"), std::string::npos)
+      << dist.status().ToString();
+  coordinator->Shutdown();
+  fake.join();
+}
+
 TEST(DistFailureTest, WorkerCrashMidSessionRequeuesAndStillCertifies) {
   const Instance tpcc = MakeTpccInstance();
-  CliRequest cli = SubtreeRequest();
-  cli.dist.frontier_units = 8;  // enough units that the crash strands some
-  auto local = Advise(tpcc, cli.request);
+  const BatchAdviseRequest batch = TableRequest();
+  auto local = AdviseSchema(tpcc, batch);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
 
   // Worker 0 drops its connection after one unit result — a crash as far
-  // as the coordinator can tell. Its remaining units must requeue to the
-  // surviving worker and the proof must close regardless.
+  // as the coordinator can tell. The coordinator hands it the next table
+  // as soon as the first result lands, so that table is stranded and must
+  // requeue to the surviving worker; the merged answer must not change.
   WorkerOptions crashy;
   crashy.fail_after_units = 1;
   Cluster cluster = StartCluster("kill", /*num_workers=*/2, crashy);
   ASSERT_NE(cluster.coordinator, nullptr);
-  auto dist = cluster.coordinator->AdviseDistributed(tpcc, cli);
+  auto dist = cluster.coordinator->AdviseSchemaDistributed(tpcc, batch);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  EXPECT_EQ(dist->result.cost, local->result.cost);
-  EXPECT_TRUE(dist->result.proven_optimal);
-  EXPECT_TRUE(dist->certified);
+  ExpectSameAdvice(tpcc, *local, *dist);
   EXPECT_GT(cluster.coordinator->requeued_total(), 0);
   cluster.coordinator->Shutdown();
 }
@@ -224,22 +250,21 @@ TEST(DistShutdownTest, DispatchWithoutWorkersFailsFast) {
   ASSERT_TRUE(started.ok()) << started.status().ToString();
   EXPECT_FALSE((*started)->WaitForWorkers(1, 0.2));
   const Instance tpcc = MakeTpccInstance();
-  auto dist = (*started)->AdviseDistributed(tpcc, SubtreeRequest());
+  auto dist = (*started)->AdviseSchemaDistributed(tpcc, TableRequest());
   EXPECT_FALSE(dist.ok());
   (*started)->Shutdown();
 }
 
 /// Spawned-process leg: real fork+exec'd vpart_cli workers, one of which
-/// is SIGKILLed mid-solve. Skipped when vpart_cli is not next to the test
+/// is SIGKILLed mid-session. Skipped when vpart_cli is not next to the test
 /// binary (ctest runs from the build dir, where it always is).
 TEST(DistProcessTest, SigkilledWorkerProcessDoesNotLoseTheProof) {
   if (::access("./vpart_cli", X_OK) != 0) {
     GTEST_SKIP() << "vpart_cli not found in the working directory";
   }
   const Instance tpcc = MakeTpccInstance();
-  CliRequest cli = SubtreeRequest();
-  cli.dist.frontier_units = 8;
-  auto local = Advise(tpcc, cli.request);
+  const BatchAdviseRequest batch = TableRequest();
+  auto local = AdviseSchema(tpcc, batch);
   ASSERT_TRUE(local.ok()) << local.status().ToString();
 
   DistCoordinator::Options options;
@@ -253,19 +278,20 @@ TEST(DistProcessTest, SigkilledWorkerProcessDoesNotLoseTheProof) {
   const std::vector<pid_t> pids = coordinator->worker_pids();
   ASSERT_EQ(pids.size(), 2u);
 
-  // Kill one worker as soon as the solve is underway; the kill thread
-  // races unit dispatch, which is exactly the point — whether units were
-  // assigned or not, the result must be identical.
+  // Freeze one worker before the session starts: the coordinator still
+  // hands it a table (the socket buffers the job and the unit), and it can
+  // never answer, so the session cannot finish before the kill lands and
+  // the kill always strands that table.
+  ASSERT_EQ(::kill(pids[0], SIGSTOP), 0);
   std::thread killer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
     ::kill(pids[0], SIGKILL);
   });
-  auto dist = coordinator->AdviseDistributed(tpcc, cli);
+  auto dist = coordinator->AdviseSchemaDistributed(tpcc, batch);
   killer.join();
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  EXPECT_EQ(dist->result.cost, local->result.cost);
-  EXPECT_TRUE(dist->result.proven_optimal);
-  EXPECT_TRUE(dist->certified);
+  ExpectSameAdvice(tpcc, *local, *dist);
+  EXPECT_GT(coordinator->requeued_total(), 0);
   EXPECT_EQ(coordinator->usable_workers(), 1);
   coordinator->Shutdown();
 }

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "mip/branch_and_bound.h"
-#include "mip/frontier.h"
 #include "util/rng.h"
 
 namespace vpart {
@@ -323,59 +322,6 @@ TEST(MipTest, MatchesBruteForceOnRandomInstances) {
       EXPECT_NEAR(result.objective, program.optimum, 1e-5) << "trial " << trial;
     }
   }
-}
-
-// The frontier's units, each solved with its fixings applied and its parent
-// basis as the root seed, cover what the expansion left open: together with
-// the expansion's own incumbent they reach the brute-force optimum.
-TEST(MipTest, ExpandFrontierUnitsCoverTheSearchSpace) {
-  Rng rng(99);
-  int branched_units = 0;
-  for (int trial = 0; trial < 25; ++trial) {
-    RandomBinaryProgram program(rng, /*min_vars=*/2);
-    for (int target : {1, 3, 8}) {
-      SCOPED_TRACE("trial " + std::to_string(trial) + " target " +
-                   std::to_string(target));
-      FrontierExpansion expansion = ExpandFrontier(program.model, Exact(),
-                                                   target);
-      ASSERT_TRUE(expansion.clean);
-      if (target == 1) {
-        ASSERT_EQ(expansion.units.size(), 1u);
-        EXPECT_TRUE(expansion.units[0].fixings.empty());
-      }
-      double best = expansion.root.has_incumbent() ? expansion.root.objective
-                                                   : kLpInfinity;
-      for (const FrontierUnit& unit : expansion.units) {
-        if (!unit.fixings.empty()) ++branched_units;
-        LpModel subtree = program.model;
-        for (const BoundFix& fix : unit.fixings) {
-          subtree.SetVariableBounds(fix.column, fix.lower, fix.upper);
-        }
-        MipOptions options = Exact();
-        options.root_basis = unit.basis;
-        MipResult result = SolveMip(subtree, options);
-        ASSERT_TRUE(result.search_exhausted);
-        if (!result.has_incumbent()) continue;
-        // The shipped parent bound is valid for everything in the subtree.
-        EXPECT_GE(result.objective, unit.bound - 1e-6);
-        best = std::min(best, result.objective);
-      }
-      EXPECT_NEAR(best, program.optimum, 1e-5);
-    }
-  }
-  // The instances are hard enough that some expansions really branch.
-  EXPECT_GT(branched_units, 0);
-}
-
-TEST(MipTest, ExpandFrontierClosesAnIntegralRoot) {
-  // Assignment polytopes are integral, so the root LP already solves the
-  // program and nothing is left to hand off.
-  FrontierExpansion expansion = ExpandFrontier(AssignmentModel(), Exact(), 8);
-  EXPECT_TRUE(expansion.units.empty());
-  EXPECT_TRUE(expansion.clean);
-  EXPECT_TRUE(expansion.root.search_exhausted);
-  EXPECT_EQ(expansion.root.status, MipStatus::kOptimal);
-  EXPECT_NEAR(expansion.root.objective, 12, kTol);
 }
 
 }  // namespace

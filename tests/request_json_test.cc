@@ -30,6 +30,18 @@ TEST(RequestJsonTest, UnknownTopLevelKeyNamesKeyAndListsValidOnes) {
   EXPECT_TRUE(Contains(bad.status(), "serve")) << bad.status().ToString();
 }
 
+// A request carries no sharding options: the coordinator shards batches by
+// table only, so "dist" is an ordinary unknown key.
+TEST(RequestJsonTest, DistBlockIsAnUnknownKey) {
+  auto bad = ParseCliRequest(R"({
+    "instance": {"builtin": "tpcc"},
+    "dist": {"mode": "tables"}
+  })");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(Contains(bad.status(), "unknown key \"dist\""))
+      << bad.status().ToString();
+}
+
 TEST(RequestJsonTest, UnknownNestedKeyListsTheBlocksValidKeys) {
   auto bad = ParseCliRequest(R"({
     "instance": {"builtin": "tpcc"},

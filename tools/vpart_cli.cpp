@@ -8,6 +8,7 @@
 //   $ ./build/vpart_cli < request.json        # ... or from stdin
 //   $ ./build/vpart_cli --trace out.json -    # ... plus a Chrome trace dump
 //   $ ./build/vpart_cli --template            # print a starter request
+//   $ ./build/vpart_cli --connect /tmp/vpart.sock a.json b.json  # daemon
 //   $ ./build/vpart_cli --help
 //
 // Exit codes: 0 success, 1 solve failure, 2 bad usage/request.
@@ -52,18 +53,19 @@ constexpr const char* kTemplate = R"({
   "obs": "basic"
 })";
 
-/// Parsed command line: optional flags plus at most one request source.
+/// Parsed command line: optional flags plus the request sources (at most
+/// one, except under --connect).
 struct CliArgs {
-  std::string request_path;  // empty or "-" = stdin
+  std::vector<std::string> request_paths;  // none or "-" = stdin
   std::string trace_path;    // --trace: Chrome Trace Event JSON dump
   std::string metrics_path;  // --metrics: Prometheus text dump
   std::string obs_text;      // --obs: overrides the request's "obs" key
   std::string serve_path;    // --serve: run as a daemon on this socket
-  std::string connect_path;  // --connect: send the request to a daemon
+  std::string connect_path;  // --connect: send the requests to a daemon
   std::string worker_path;   // --worker: join a coordinator on this socket
   std::string socket_path;   // --socket: coordinator socket override
   int workers = 2;           // --workers: daemon/coordinator solve workers
-  bool coordinator = false;  // --coordinator: multi-process distributed solve
+  bool coordinator = false;  // --coordinator: batch across worker processes
   bool no_spawn = false;     // --no-spawn: wait for external --worker procs
   bool certify = false;      // --certify: run the SolutionCertifier
   bool help = false;
@@ -73,6 +75,7 @@ struct CliArgs {
 void PrintHelp() {
   std::printf(
       "usage: vpart_cli [options] [request.json]\n"
+      "       vpart_cli --connect <socket> [request.json ...]\n"
       "\n"
       "Reads a JSON advise request (from the given file, or stdin when no\n"
       "file is given), runs it through the solver registry, and prints a\n"
@@ -92,17 +95,21 @@ void PrintHelp() {
       "                        request: framed JSON in, framed JSON out,\n"
       "                        with a canonical-fingerprint solution cache\n"
       "                        and cross-request warm starts. Stop with\n"
-      "                        SIGINT/SIGTERM. See also vpart_client.\n"
+      "                        SIGINT/SIGTERM. Talk to it with --connect.\n"
       "  --workers <n>         daemon/coordinator solve workers (default 2)\n"
-      "  --connect <socket>    send the request to a running daemon and\n"
-      "                        print its response (one round trip)\n"
-      "  --coordinator         solve the request distributed: spawn\n"
+      "  --connect <socket>    send each request (stdin when none is\n"
+      "                        given; \"-\" also reads stdin) to a running\n"
+      "                        daemon and print the responses. Several\n"
+      "                        requests pipeline: all are sent, then all\n"
+      "                        responses are read, in solve order (set\n"
+      "                        \"serve\": {\"id\": ...} to correlate).\n"
+      "                        Exits 1 if any response is an error.\n"
+      "  --coordinator         advise a \"batch\": true request across\n"
       "                        --workers worker processes over a Unix\n"
-      "                        socket and shard the work across them —\n"
-      "                        B&B frontier subtrees for a single solve,\n"
-      "                        tables for a \"batch\" request (see the\n"
-      "                        request's \"dist\" block and DESIGN.md\n"
-      "                        \"Distributed layer\")\n"
+      "                        socket, one table per work unit (DESIGN.md\n"
+      "                        \"Distributed layer\"). A single exact\n"
+      "                        solve is not sharded; set ilp.bnb_threads\n"
+      "                        to run its branch & bound on threads.\n"
       "  --socket <path>       coordinator socket path (default derived\n"
       "                        from the pid under /tmp)\n"
       "  --no-spawn            coordinator waits for externally started\n"
@@ -259,23 +266,37 @@ int RunServer(const CliArgs& args) {
   return DumpObsFiles(args);
 }
 
-/// --connect: one request round trip against a running daemon.
-int RunConnect(const CliArgs& args, const std::string& request_text) {
+/// --connect: pipelines the requests over one daemon connection — all are
+/// sent first, then all responses are read. Exit 1 if any response is the
+/// error envelope.
+int RunConnect(const CliArgs& args,
+               const std::vector<std::string>& requests) {
   StatusOr<ServeClient> client = ServeClient::Connect(args.connect_path);
   if (!client.ok()) {
     std::fprintf(stderr, "cannot connect: %s\n",
                  client.status().ToString().c_str());
     return 1;
   }
-  StatusOr<std::string> response = client->Roundtrip(request_text);
-  if (!response.ok()) {
-    std::fprintf(stderr, "round trip failed: %s\n",
-                 response.status().ToString().c_str());
-    return 1;
+  for (const std::string& request : requests) {
+    const Status sent = client->Send(request);
+    if (!sent.ok()) {
+      std::fprintf(stderr, "send failed: %s\n", sent.ToString().c_str());
+      return 1;
+    }
   }
-  std::printf("%s\n", response->c_str());
-  StatusOr<JsonValue> doc = JsonValue::Parse(*response);
-  return doc.ok() && doc->Find("error") != nullptr ? 1 : 0;
+  int rc = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    StatusOr<std::string> response = client->Receive();
+    if (!response.ok()) {
+      std::fprintf(stderr, "receive failed: %s\n",
+                   response.status().ToString().c_str());
+      return 1;
+    }
+    std::printf("%s\n", response->c_str());
+    StatusOr<JsonValue> doc = JsonValue::Parse(*response);
+    if (doc.ok() && doc->Find("error") != nullptr) rc = 1;
+  }
+  return rc;
 }
 
 /// --worker: serve one coordinator until it says shutdown. Exit code 0 on
@@ -289,13 +310,20 @@ int RunWorker(const CliArgs& args) {
   return 0;
 }
 
-/// --coordinator: one distributed solve. Spawns (or awaits) workers, shards
-/// the request, prints the same response document the local paths print.
+/// --coordinator: one distributed batch. Spawns (or awaits) workers, farms
+/// the tables out, prints the same document a local batch run prints.
 int RunCoordinator(const CliArgs& args, const std::string& request_text) {
   StatusOr<CliRequest> cli = ParseCliRequest(request_text);
   if (!cli.ok()) {
     std::fprintf(stderr, "bad request: %s\n",
                  cli.status().ToString().c_str());
+    return 2;
+  }
+  if (!cli->batch) {
+    std::fprintf(stderr,
+                 "--coordinator shards \"batch\": true requests by table; "
+                 "for one exact solve set \"ilp\": {\"bnb_threads\": N} "
+                 "and run without --coordinator\n");
     return 2;
   }
   if (!args.obs_text.empty() &&
@@ -336,36 +364,20 @@ int RunCoordinator(const CliArgs& args, const std::string& request_text) {
   std::fprintf(stderr, "coordinator on %s: %d workers attached\n",
                (*coordinator)->socket_path().c_str(),
                (*coordinator)->usable_workers());
-  const bool tables = cli->dist.mode == "tables" ||
-                      (cli->dist.mode == "auto" && cli->batch);
+  BatchAdviseRequest batch;
+  batch.request = cli->request;
+  batch.request.num_threads = 1;  // concurrency goes across workers
+  StatusOr<BatchAdvisorResult> advised =
+      (*coordinator)->AdviseSchemaDistributed(*instance, batch);
   int rc = 0;
-  if (tables) {
-    BatchAdviseRequest batch;
-    batch.request = cli->request;
-    batch.request.num_threads = 1;  // concurrency goes across workers
-    StatusOr<BatchAdvisorResult> advised =
-        (*coordinator)->AdviseSchemaDistributed(*instance, batch);
-    if (!advised.ok()) {
-      std::fprintf(stderr, "distributed batch advise failed: %s\n",
-                   advised.status().ToString().c_str());
-      rc = 1;
-    } else {
-      JsonValue out = BatchAdvisorResultToJson(*instance, *advised,
-                                               cli->emit_partitioning);
-      std::printf("%s\n", out.Serialize(2).c_str());
-    }
+  if (!advised.ok()) {
+    std::fprintf(stderr, "distributed batch advise failed: %s\n",
+                 advised.status().ToString().c_str());
+    rc = 1;
   } else {
-    StatusOr<AdviseResponse> response =
-        (*coordinator)->AdviseDistributed(*instance, *cli);
-    if (!response.ok()) {
-      std::fprintf(stderr, "distributed advise failed: %s\n",
-                   response.status().ToString().c_str());
-      rc = 1;
-    } else {
-      JsonValue out = AdviseResponseToJson(*instance, *response,
-                                           cli->emit_partitioning, {});
-      std::printf("%s\n", out.Serialize(2).c_str());
-    }
+    JsonValue out = BatchAdvisorResultToJson(*instance, *advised,
+                                             cli->emit_partitioning);
+    std::printf("%s\n", out.Serialize(2).c_str());
   }
   (*coordinator)->Shutdown();
   const int dump_rc = DumpObsFiles(args);
@@ -475,13 +487,29 @@ bool ParseArgs(int argc, char** argv, CliArgs& args) {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg);
       return false;
     } else {
-      if (!args.request_path.empty()) {
-        std::fprintf(stderr, "too many arguments (try --help)\n");
-        return false;
-      }
-      args.request_path = arg;
+      args.request_paths.push_back(arg);
     }
   }
+  if (args.connect_path.empty() && args.request_paths.size() > 1) {
+    std::fprintf(stderr, "too many arguments (try --help)\n");
+    return false;
+  }
+  return true;
+}
+
+/// Reads one request source ("-" = stdin); false after printing why not.
+bool ReadRequest(const std::string& path, std::string* text) {
+  if (path == "-") {
+    *text = ReadAll(stdin);
+    return true;
+  }
+  std::FILE* in = std::fopen(path.c_str(), "r");
+  if (in == nullptr) {
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
+    return false;
+  }
+  *text = ReadAll(in);
+  std::fclose(in);
   return true;
 }
 
@@ -504,21 +532,16 @@ int main(int argc, char** argv) {
   if (!args.worker_path.empty()) {
     return RunWorker(args);
   }
-  std::string request_text;
-  if (args.request_path.empty() || args.request_path == "-") {
-    request_text = ReadAll(stdin);
-  } else {
-    std::FILE* in = std::fopen(args.request_path.c_str(), "r");
-    if (in == nullptr) {
-      std::fprintf(stderr, "cannot read %s\n", args.request_path.c_str());
-      return 2;
-    }
-    request_text = ReadAll(in);
-    std::fclose(in);
+  std::vector<std::string> paths = args.request_paths;
+  if (paths.empty()) paths.push_back("-");
+  std::vector<std::string> requests(paths.size());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    if (!ReadRequest(paths[i], &requests[i])) return 2;
   }
   if (!args.connect_path.empty()) {
-    return RunConnect(args, request_text);
+    return RunConnect(args, requests);
   }
+  const std::string& request_text = requests.front();
   if (args.coordinator) {
     return RunCoordinator(args, request_text);
   }
