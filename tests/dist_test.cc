@@ -6,6 +6,8 @@
 //   * equivalence — a distributed batch (any worker count) gives every
 //     table the same cost, proof flag and partitioning as a local
 //     AdviseSchema of the same request, and so the same merged advice;
+//   * wire audit — every table result a worker ships back is proven
+//     optimal and certifies on its own over the table's subinstance;
 //   * fault tolerance — killing a worker mid-session loses no units: the
 //     ledger requeues them and the merged advice does not change;
 //   * loud failure — a worker's rejection of the job fails the session
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "api/advise.h"
+#include "check/certifier.h"
 #include "cost/partitioning_io.h"
 #include "dist/coordinator.h"
 #include "dist/transport.h"
@@ -123,6 +126,59 @@ TEST(DistTableTest, TpccBatchMatchesLocalAdviseSchema) {
   for (auto& worker : cluster.workers) {
     EXPECT_TRUE(worker->Join().ok());
   }
+}
+
+/// Audits what crossed the wire on its own terms, not against a local run:
+/// every table comes back proven optimal, and its decoded layout, cost,
+/// breakdown and baseline pass the SolutionCertifier over the table's
+/// subinstance. The wire ships the proof flag but not the dual bound
+/// behind it (the worker certified its own proof before answering), so
+/// the audited copy drops the flag and the certifier checks the layout.
+TEST(DistTableTest, TpccBatchShipsCertifiableTablesWithTwoWorkers) {
+  const Instance tpcc = MakeTpccInstance();
+  const BatchAdviseRequest batch = TableRequest();
+  auto subs = SplitInstanceByTable(tpcc);
+  ASSERT_TRUE(subs.ok()) << subs.status().ToString();
+
+  Cluster cluster = StartCluster("cert", /*num_workers=*/2);
+  ASSERT_NE(cluster.coordinator, nullptr);
+  auto dist = cluster.coordinator->AdviseSchemaDistributed(tpcc, batch);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  ASSERT_EQ(dist->tables.size(), subs->size());
+  const SolutionCertifier certifier;
+  double summed_cost = 0.0;
+  for (size_t i = 0; i < subs->size(); ++i) {
+    const TableAdvice& table = dist->tables[i];
+    EXPECT_TRUE(table.result.proven_optimal) << "table " << table.table_name;
+    AdviseResponse shipped;
+    shipped.result = table.result;
+    shipped.result.proven_optimal = false;
+    const CertificationReport report =
+        certifier.Certify((*subs)[i].instance, batch.request, shipped);
+    EXPECT_TRUE(report.certified)
+        << "table " << table.table_name << ": " << report.Summary();
+    summed_cost += table.result.cost;
+  }
+  EXPECT_DOUBLE_EQ(dist->combined.cost, summed_cost);
+  EXPECT_EQ(cluster.coordinator->requeued_total(), 0);
+  cluster.coordinator->Shutdown();
+  for (auto& worker : cluster.workers) {
+    EXPECT_TRUE(worker->Join().ok());
+  }
+}
+
+TEST(DistTableTest, TpccBatchMatchesLocalWithFourWorkers) {
+  const Instance tpcc = MakeTpccInstance();
+  const BatchAdviseRequest batch = TableRequest();
+  auto local = AdviseSchema(tpcc, batch);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+
+  Cluster cluster = StartCluster("t4", /*num_workers=*/4);
+  ASSERT_NE(cluster.coordinator, nullptr);
+  auto dist = cluster.coordinator->AdviseSchemaDistributed(tpcc, batch);
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  ExpectSameAdvice(tpcc, *local, *dist);
+  cluster.coordinator->Shutdown();
 }
 
 TEST(DistTableTest, RandomInstanceBatchMatchesLocalWithFourWorkers) {
