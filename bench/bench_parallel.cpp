@@ -67,13 +67,15 @@
 // the other sections.
 //
 // The --obs section prices the observability layer itself: the same
-// fixed-work TPC-C batch SA solve (restart-capped, so every level does
-// identical work) at obs off / basic / full, min-of-repetitions, gated at
-// <2% overhead for basic and <5% for full over off (plus an absolute
-// slack so sub-second runs on noisy machines do not flake). `--obs
-// --baseline BENCH_obs.json` also trend-checks the absolute off-seconds
-// against the checked-in snapshot (>15% + slack = regression). `--obs
-// --quick` is the CI smoke variant (fewer repetitions, smaller work).
+// fixed-work TPC-C batch SA solve (restart-capped and on one table thread,
+// so every level does identical, deterministic work) at obs off / basic /
+// full, timed in process CPU seconds (getrusage) so co-tenants and
+// scheduler stalls do not enter the samples, and gated at <2% overhead for
+// basic and <5% for full over off (median of paired per-repetition
+// ratios, plus an absolute slack). `--obs --baseline BENCH_obs.json` also
+// trend-checks the absolute off-level CPU seconds against the checked-in
+// snapshot (>15% + slack = regression). `--obs --quick` is the CI smoke
+// variant (fewer repetitions, same per-sample work).
 
 #include <algorithm>
 #include <cmath>
@@ -87,6 +89,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "api/advise.h"
@@ -599,10 +602,21 @@ bool CheckMipCoreBaseline(const char* path,
 
 // --- observability overhead: tracing off vs basic vs full ------------------
 
-/// One fixed-work TPC-C batch solve at the given obs level: every table
-/// runs a restart-capped SA under a deadline it never reaches, so off /
-/// basic / full do identical solver work and the delta is the price of
-/// span recording and metric updates alone.
+/// CPU seconds (user + system) this process has used so far.
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + 1e-6 * tv.tv_usec;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// One fixed-work TPC-C batch solve at the given obs level, in process CPU
+/// seconds: every table runs a restart-capped SA under a deadline it never
+/// reaches, one table at a time, so off / basic / full do identical solver
+/// work and the delta is the price of span recording and metric updates
+/// alone.
 double RunObsBatch(const Instance& instance, ObsLevel level, int restarts) {
   AdvisorOptions options;
   options.num_sites = 3;
@@ -614,13 +628,13 @@ double RunObsBatch(const Instance& instance, ObsLevel level, int restarts) {
   batch.request = FromAdvisorOptions(options);
   batch.request.num_threads = 1;
   batch.request.obs = level;
-  batch.table_threads = 4;
+  batch.table_threads = 1;
   // Fresh flight recorder per sample: steady-state ring writes (not
   // wrap-around bookkeeping drift across samples) are what we price.
   Tracer::Global().Clear();
-  Stopwatch watch;
+  const double start = ProcessCpuSeconds();
   auto advised = AdviseSchema(instance, batch);
-  const double seconds = watch.ElapsedSeconds();
+  const double seconds = ProcessCpuSeconds() - start;
   if (!advised.ok()) {
     std::fprintf(stderr, "obs batch advise failed: %s\n",
                  advised.status().ToString().c_str());
@@ -630,7 +644,7 @@ double RunObsBatch(const Instance& instance, ObsLevel level, int restarts) {
 }
 
 /// Trend gate against the checked-in BENCH_obs.json: the absolute
-/// off-level seconds must not regress >15% (+slack), mirroring the
+/// off-level CPU seconds must not regress >15% (+slack), mirroring the
 /// mip-core baseline check. Overhead percents are gated unconditionally
 /// in ObsMain; the baseline pins the workload itself from drifting.
 bool CheckObsBaseline(const char* path, double off_seconds) {
@@ -649,10 +663,11 @@ bool CheckObsBaseline(const char* path, double off_seconds) {
   }
   const JsonValue* section = parsed->Find("obs_overhead_tpcc_batch");
   const JsonValue* base = section != nullptr
-                              ? section->Find("off_min_seconds")
+                              ? section->Find("off_min_cpu_seconds")
                               : nullptr;
   if (base == nullptr || !base->is_number()) {
-    std::fprintf(stderr, "obs: baseline %s lacks off_min_seconds\n", path);
+    std::fprintf(stderr, "obs: baseline %s lacks off_min_cpu_seconds\n",
+                 path);
     return false;
   }
   constexpr double kRegressionFactor = 1.15;  // >15% worse = regression
@@ -660,7 +675,7 @@ bool CheckObsBaseline(const char* path, double off_seconds) {
   const double limit = base->as_number() * kRegressionFactor + kAbsoluteSlack;
   if (off_seconds > limit) {
     std::fprintf(stderr,
-                 "obs: off-level seconds regressed %.3f -> %.3f (>15%% over "
+                 "obs: off-level CPU seconds regressed %.3f -> %.3f (>15%% over "
                  "the checked-in baseline %s)\n",
                  base->as_number(), off_seconds, path);
     return false;
@@ -669,8 +684,8 @@ bool CheckObsBaseline(const char* path, double off_seconds) {
 }
 
 int ObsMain(bool quick, const char* baseline_path) {
-  const int repetitions = quick ? 3 : 5;
-  const int restarts = quick ? 128 : 512;
+  const int repetitions = quick ? 5 : 9;
+  const int restarts = 320;
   Instance tpcc = MakeTpccInstance();
 
   std::vector<double> off_s, basic_s, full_s;
@@ -702,10 +717,9 @@ int ObsMain(bool quick, const char* baseline_path) {
   const double full = MinSeconds(full_s);
   // Paired statistic: each repetition runs the three levels back-to-back,
   // so the per-rep overhead ratio is immune to the slow drift (frequency,
-  // co-tenants) that makes cross-rep minima lie on small machines. The
-  // gate is the median of those per-rep ratios, plus an absolute slack —
-  // on a ~1 s workload, 10 ms of scheduler jitter alone is 1%, and the
-  // contract prices the recorder, not the OS.
+  // cache pressure from co-tenants) that makes cross-rep minima lie on
+  // small machines. The gate is the median of those per-rep ratios, plus
+  // an absolute slack: the contract prices the recorder, not the OS.
   auto paired_pct = [&](const std::vector<double>& level_s) {
     std::vector<double> ratios;
     for (size_t i = 0; i < level_s.size() && i < off_s.size(); ++i) {
@@ -728,11 +742,12 @@ int ObsMain(bool quick, const char* baseline_path) {
   std::printf("  \"quick\": %s,\n", quick ? "true" : "false");
   std::printf("  \"obs_overhead_tpcc_batch\": {\n");
   std::printf("    \"workload\": \"TPC-C batch SA, %d restarts/table, "
-              "4 table threads, seed 7\",\n", restarts);
+              "1 table thread, seed 7\",\n", restarts);
+  std::printf("    \"clock\": \"process CPU time (getrusage)\",\n");
   std::printf("    \"repetitions\": %d,\n", repetitions);
-  std::printf("    \"off_min_seconds\": %.6f,\n", off);
-  std::printf("    \"basic_min_seconds\": %.6f,\n", basic);
-  std::printf("    \"full_min_seconds\": %.6f,\n", full);
+  std::printf("    \"off_min_cpu_seconds\": %.6f,\n", off);
+  std::printf("    \"basic_min_cpu_seconds\": %.6f,\n", basic);
+  std::printf("    \"full_min_cpu_seconds\": %.6f,\n", full);
   std::printf("    \"basic_overhead_percent\": %.3f,\n", basic_pct);
   std::printf("    \"full_overhead_percent\": %.3f,\n", full_pct);
   std::printf("    \"basic_gate_2pct_ok\": %s,\n",
@@ -743,7 +758,7 @@ int ObsMain(bool quick, const char* baseline_path) {
   if (!ok) {
     std::fprintf(stderr,
                  "obs: overhead gate violated (basic %.3f%% vs <2%%, full "
-                 "%.3f%% vs <5%%, off %.3fs)\n",
+                 "%.3f%% vs <5%%, off %.3f CPU s)\n",
                  basic_pct, full_pct, off);
   }
   if (baseline_path != nullptr) {

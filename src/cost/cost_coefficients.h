@@ -96,26 +96,52 @@ class CostCoefficients {
   virtual CostBreakdown Breakdown(const Partitioning& partitioning) const;
 
   /// Eq. (5): work of site s.
-  virtual double SiteLoad(const Partitioning& partitioning, int s) const;
+  double SiteLoad(const Partitioning& partitioning, int s) const;
 
   /// max_s SiteLoad(s) — the m of the load-balanced model.
   double MaxLoad(const Partitioning& partitioning) const;
 
   /// Eq. (6) as intended: (1−λ)·Objective + λ·MaxLoad. This is what the
-  /// solvers minimize; Objective() is what gets reported.
+  /// solvers minimize; Objective() is what gets reported. One pass of the
+  /// row kernel accumulates objective (4) and every site load together.
   virtual double ScalarizedObjective(const Partitioning& partitioning) const;
 
   /// Σ_a c1(a,t)·y[a][s]: cost contribution of placing transaction t on s
   /// given the attribute placement in `partitioning`. Used by the SA solver
-  /// and the exhaustive enumerator.
-  virtual double TransactionOnSiteCost(const Partitioning& partitioning,
-                                       int t, int s) const;
+  /// and the incremental solver.
+  double TransactionOnSiteCost(const Partitioning& partitioning, int t,
+                               int s) const {
+    double cost = 0.0;
+    const TransactionRow r = row(t);
+    for (int k = 0; k < r.size; ++k) {
+      cost += r.c1[k] *
+              static_cast<double>(partitioning.HasAttribute(r.attribute[k], s));
+    }
+    return cost;
+  }
 
   /// Objective-(4) delta coefficient of adding a replica of attribute a on
   /// site s: c2(a) + Σ_{t on s} c1(a,t). Negative values mean replication
   /// pays for itself (transfer saved exceeds write amplification).
-  virtual double AttributeOnSiteCost(const Partitioning& partitioning, int a,
-                                     int s) const;
+  double AttributeOnSiteCost(const Partitioning& partitioning, int a,
+                             int s) const;
+
+  /// Transaction t's packed row: its touched attributes (in
+  /// Instance::TouchedAttributesOfTransaction order) with their c1 and c3
+  /// coefficients side by side. These are the only nonzero c1/c3 entries
+  /// of t, so every per-transaction sum runs over the row instead of the
+  /// dense |T| x |A| tables.
+  struct TransactionRow {
+    const int* attribute;
+    const double* c1;
+    const double* c3;
+    int size;
+  };
+  TransactionRow row(int t) const {
+    const int begin = row_start_[t];
+    return {row_attribute_.data() + begin, row_c1_.data() + begin,
+            row_c3_.data() + begin, row_start_[t + 1] - begin};
+  }
 
   /// Units shipped per remote replica when write query q updates its
   /// referenced attribute a — the α-side physics. Only the cold paths use
@@ -208,6 +234,7 @@ class CostCoefficients {
         }
       }
     }
+    PackRows();
   }
 
   /// Precompute with the paper's physics: W_{a,q} = w_a·f_q·n_{r,q} bytes
@@ -225,6 +252,17 @@ class CostCoefficients {
   }
 
  private:
+  /// Builds the packed rows and the write-attribute list from the dense
+  /// tables, once per Precompute().
+  void PackRows();
+
+  /// The evaluation kernel behind Objective, SiteLoad, MaxLoad and
+  /// ScalarizedObjective: one pass over the packed rows that returns
+  /// objective (4) and adds the eq. (5) site loads into `loads[0..S)`,
+  /// which must start at +0.0. See the .cc for the bit-identity rules it
+  /// keeps.
+  double Evaluate(const Partitioning& partitioning, double* loads) const;
+
   std::shared_ptr<const Instance> instance_;
   CostParams params_;
   std::string backend_;
@@ -232,6 +270,14 @@ class CostCoefficients {
   std::vector<double> c2_;  // |A|
   std::vector<double> c3_;  // |T| x |A|
   std::vector<double> c4_;  // |A|
+  // Packed rows (see row()): row t is [row_start_[t], row_start_[t+1]).
+  std::vector<int> row_start_;       // |T| + 1
+  std::vector<int> row_attribute_;   // Σ_t |touched(t)|
+  std::vector<double> row_c1_;       // Σ_t |touched(t)|
+  std::vector<double> row_c3_;       // Σ_t |touched(t)|
+  // Attributes with c2 ≠ 0 or c4 ≠ 0, ascending: the only ones the
+  // per-replica terms of objective (4) and eq. (5) can change.
+  std::vector<int> write_attributes_;
 };
 
 }  // namespace vpart

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -11,25 +12,37 @@
 
 namespace vpart {
 
+namespace {
+
+/// κ/forced tables of ComputeOptimalY, kept across calls so the anneal's
+/// inner loop allocates nothing.
+struct PlacementScratch {
+  std::vector<double> kappa;     // |A| x |S|
+  std::vector<uint8_t> forced;   // |A| x |S|
+};
+
 bool ComputeOptimalY(const CostCoefficients& cost_model, Partitioning& p,
-                     bool allow_replication) {
+                     bool allow_replication, PlacementScratch& scratch) {
   const Instance& instance = cost_model.instance();
   const int num_a = instance.num_attributes();
   const int num_s = p.num_sites();
   const int num_t = instance.num_transactions();
 
   // κ(a,s) = c2(a) + Σ_{t on s} c1(a,t).
-  std::vector<double> kappa(static_cast<size_t>(num_a) * num_s);
+  std::vector<double>& kappa = scratch.kappa;
+  kappa.resize(static_cast<size_t>(num_a) * num_s);
   for (int a = 0; a < num_a; ++a) {
     const double c2 = cost_model.c2(a);
     for (int s = 0; s < num_s; ++s) kappa[a * num_s + s] = c2;
   }
-  std::vector<uint8_t> forced(static_cast<size_t>(num_a) * num_s, 0);
+  std::vector<uint8_t>& forced = scratch.forced;
+  forced.assign(static_cast<size_t>(num_a) * num_s, 0);
   for (int t = 0; t < num_t; ++t) {
     const int s = p.SiteOfTransaction(t);
     assert(s >= 0 && s < num_s);
-    for (int a : instance.TouchedAttributesOfTransaction(t)) {
-      kappa[a * num_s + s] += cost_model.c1(a, t);
+    const CostCoefficients::TransactionRow row = cost_model.row(t);
+    for (int k = 0; k < row.size; ++k) {
+      kappa[row.attribute[k] * num_s + s] += row.c1[k];
     }
     for (int a : instance.ReadSetOfTransaction(t)) {
       forced[a * num_s + s] = 1;
@@ -74,6 +87,14 @@ bool ComputeOptimalY(const CostCoefficients& cost_model, Partitioning& p,
     }
   }
   return true;
+}
+
+}  // namespace
+
+bool ComputeOptimalY(const CostCoefficients& cost_model, Partitioning& p,
+                     bool allow_replication) {
+  PlacementScratch scratch;
+  return ComputeOptimalY(cost_model, p, allow_replication, scratch);
 }
 
 bool ComputeOptimalX(const CostCoefficients& cost_model, Partitioning& p,
@@ -145,6 +166,7 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
   const Instance& instance = cost_model.instance();
   const int num_t = instance.num_transactions();
   const int num_a = instance.num_attributes();
+  PlacementScratch scratch;
 
   // Initial solution: random x, derived y (Algorithm 1 lines 3-5). In
   // disjoint mode a random x is typically infeasible, so start single-sited
@@ -163,16 +185,21 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
       current.AssignTransaction(t, s);
     }
     bool feasible = ComputeOptimalY(cost_model, current,
-                                    options.allow_replication);
+                                    options.allow_replication, scratch);
     if (!feasible) {
       // Retry single-sited; always feasible.
       for (int t = 0; t < num_t; ++t) current.AssignTransaction(t, 0);
-      ComputeOptimalY(cost_model, current, options.allow_replication);
+      ComputeOptimalY(cost_model, current, options.allow_replication,
+                      scratch);
     }
   }
 
   double current_obj = cost_model.ScalarizedObjective(current);
   Partitioning best = current;
+  // Reused across iterations: the inner loop copy-assigns into the
+  // candidate's storage and samples into one index buffer.
+  Partitioning candidate;
+  std::vector<int> sample;
   double best_obj = current_obj;
 
   // §5.1 initial temperature: accept a `worsening`-worse solution with the
@@ -196,25 +223,29 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
     bool improved_this_round = false;
     for (int i = 0; i < options.inner_iterations; ++i) {
       if (ShouldStop(options, deadline)) break;
-      Partitioning candidate = current;
+      candidate = current;
 
       // Neighborhood of x: move ~10% of transactions to random sites.
       if (num_sites > 1) {
-        for (int idx : rng.SampleWithoutReplacement(num_t, txn_moves)) {
+        rng.SampleWithoutReplacement(num_t, txn_moves, sample);
+        for (int idx : sample) {
           candidate.AssignTransaction(
               idx, static_cast<int>(rng.NextBounded(num_sites)));
         }
       }
-      // Neighborhood of y: extend replication of ~10% of attributes.
+      // Neighborhood of y: extend replication of ~10% of attributes to a
+      // uniformly drawn site that lacks them.
       if (options.allow_replication && num_sites > 1) {
-        for (int idx : rng.SampleWithoutReplacement(num_a, attr_moves)) {
-          std::vector<int> absent;
+        rng.SampleWithoutReplacement(num_a, attr_moves, sample);
+        for (int idx : sample) {
+          const int absent = num_sites - candidate.ReplicaCount(idx);
+          if (absent == 0) continue;
+          int pick = static_cast<int>(rng.NextBounded(absent));
           for (int s = 0; s < num_sites; ++s) {
-            if (!candidate.HasAttribute(idx, s)) absent.push_back(s);
-          }
-          if (!absent.empty()) {
-            candidate.PlaceAttribute(
-                idx, absent[rng.NextBounded(absent.size())]);
+            if (!candidate.HasAttribute(idx, s) && pick-- == 0) {
+              candidate.PlaceAttribute(idx, s);
+              break;
+            }
           }
         }
       }
@@ -222,7 +253,7 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
       // findSolution(fix): re-optimize the non-fixed side.
       const bool ok =
           fix_x ? ComputeOptimalY(cost_model, candidate,
-                                  options.allow_replication)
+                                  options.allow_replication, scratch)
                 : ComputeOptimalX(cost_model, candidate,
                                   options.allow_replication);
       fix_x = !fix_x;  // Algorithm 1 line 16
@@ -233,7 +264,7 @@ void AnnealOnce(const CostCoefficients& cost_model, int num_sites,
       const double delta = candidate_obj - current_obj;
       if (delta <= 0 ||
           rng.NextDouble() < std::exp(-delta / std::max(tau, 1e-300))) {
-        current = std::move(candidate);
+        std::swap(current, candidate);
         current_obj = candidate_obj;
         ++result.accepted;
         if (current_obj < best_obj - 1e-12) {

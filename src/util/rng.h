@@ -35,6 +35,10 @@ class Rng {
   /// Picks `k` distinct indices from [0, n) in random order (k <= n).
   std::vector<int> SampleWithoutReplacement(int n, int k);
 
+  /// Same draws into a caller-owned buffer (reused without reallocating
+  /// once it has grown to n).
+  void SampleWithoutReplacement(int n, int k, std::vector<int>& out);
+
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& v) {

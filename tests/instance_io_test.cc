@@ -98,6 +98,28 @@ TEST(InstanceIoTest, RejectsDuplicateQueryName) {
   EXPECT_FALSE(ParseInstanceText(text).ok());
 }
 
+// strtod accepts "nan" and "inf"; the schema and workload layers reject
+// them with INVALID_ARGUMENT instead of letting a NaN cost reach the solver.
+TEST(InstanceIoTest, RejectsNonFiniteNumbers) {
+  for (const std::string bad : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    const std::string width =
+        "instance d\ntable R\nattr R x " + bad +
+        "\ntxn T\nquery T q read 1\nrows q R 1\nref q R.x\n";
+    const std::string frequency =
+        "instance d\ntable R\nattr R x 4\ntxn T\nquery T q read " + bad +
+        "\nrows q R 1\nref q R.x\n";
+    const std::string rows =
+        "instance d\ntable R\nattr R x 4\ntxn T\nquery T q read 1\n"
+        "rows q R " + bad + "\nref q R.x\n";
+    for (const std::string& text : {width, frequency, rows}) {
+      auto parsed = ParseInstanceText(text);
+      ASSERT_FALSE(parsed.ok()) << text;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << text;
+    }
+  }
+}
+
 TEST(InstanceIoTest, FileRoundTrip) {
   Instance original = MakeTpccInstance();
   const std::string path = ::testing::TempDir() + "/tpcc_io_test.vpi";

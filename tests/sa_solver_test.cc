@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "cost/cost_model.h"
 #include "instances/random_instance.h"
 #include "instances/tpcc.h"
 #include "solver/sa_solver.h"
+#include "util/string_util.h"
 
 namespace vpart {
 namespace {
@@ -217,6 +219,64 @@ TEST(SaSolverTest, WarmStartIsRespected) {
   SaResult result = SolveWithSa(model, 2, options);
   // Already optimal: the anneal must not return anything worse.
   EXPECT_DOUBLE_EQ(result.cost, 16);
+}
+
+/// A random instance whose widths are fractional, so the cost coefficients
+/// are not small integers and the order of every floating-point sum shows
+/// in the last bits.
+Instance FractionalWidthInstance() {
+  RandomInstanceParams params;
+  params.num_transactions = 20;
+  params.num_tables = 8;
+  params.update_percent = 30;
+  params.allowed_widths = {1.1, 2.3, 4.7, 9.9};
+  params.seed = 11;
+  return MakeRandomInstance(params);
+}
+
+// Restart-capped anneals are a deterministic function of the seed: the
+// time budget is far larger than the work, so only max_restarts ends the
+// search. The pinned counts and the exact best scalarized objective catch
+// any change to the move sampling or to the summation order of the cost
+// evaluation (the packed-row kernels must keep the trajectory bit-equal).
+// The values were recorded with the branchy per-entry evaluation loops.
+TEST(SaSolverTest, RestartCappedTrajectoryIsPinned) {
+  struct Pin {
+    const char* instance;
+    int sites;
+    uint64_t seed;
+    long iterations;
+    long accepted;
+    double scalarized;
+  };
+  const Pin pins[] = {
+      {"tpcc", 3, 1, 1840, 889, 0x1.0e7cccccccccdp+15},
+      {"tpcc", 4, 7, 1880, 909, 0x1.0e7cccccccccdp+15},
+      {"fractional", 2, 5, 4560, 1613, 0x1.0f3828f5c28f6p+12},
+      {"fractional", 4, 9, 8360, 1611, 0x1.cdcb333333333p+11},
+  };
+  const Instance tpcc = MakeTpccInstance();
+  const Instance fractional = FractionalWidthInstance();
+  for (const Pin& pin : pins) {
+    const Instance& instance =
+        std::string(pin.instance) == "tpcc" ? tpcc : fractional;
+    CostModel model(&instance, {.p = 8, .lambda = 0.1});
+    SaOptions options;
+    options.seed = pin.seed;
+    options.time_limit_seconds = 3600;
+    options.max_restarts = 2;
+    const SaResult result = SolveWithSa(model, pin.sites, options);
+    SCOPED_TRACE(StrFormat("%s s=%d seed=%llu: iterations %ld accepted %ld "
+                           "scalarized %a",
+                           pin.instance, pin.sites,
+                           static_cast<unsigned long long>(pin.seed),
+                           result.iterations, result.accepted,
+                           result.scalarized));
+    EXPECT_EQ(result.iterations, pin.iterations);
+    EXPECT_EQ(result.accepted, pin.accepted);
+    EXPECT_EQ(result.scalarized, pin.scalarized);
+    EXPECT_TRUE(ValidatePartitioning(instance, result.partitioning).ok());
+  }
 }
 
 TEST(SaSolverTest, TimeLimitIsHonored) {

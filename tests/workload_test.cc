@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "workload/instance.h"
 #include "workload/schema.h"
 #include "workload/workload.h"
@@ -72,6 +75,35 @@ TEST(WorkloadTest, RejectsBadFrequencyAndRows) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(workload.AddQuery(99, Query{}).status().code(),
             StatusCode::kOutOfRange);
+}
+
+// NaN and inf pass a `<= 0` test; the cost kernel needs finite
+// coefficients (inf·0 is NaN), so they must be rejected where they enter.
+TEST(WorkloadTest, RejectsNonFiniteWidthFrequencyAndRows) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    Schema schema;
+    int r = schema.AddTable("R").value();
+    EXPECT_EQ(schema.AddAttribute(r, "x", bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(schema.num_attributes(), 0);
+
+    Workload workload;
+    int t = workload.AddTransaction("T").value();
+    Query q;
+    q.frequency = bad;
+    q.table_rows = {{r, 1.0}};
+    EXPECT_EQ(workload.AddQuery(t, q).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    q.frequency = 1;
+    q.table_rows = {{r, bad}};
+    EXPECT_EQ(workload.AddQuery(t, q).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(workload.num_queries(), 0);
+  }
 }
 
 TEST(InstanceTest, DerivedConstantsMatchDefinition) {
