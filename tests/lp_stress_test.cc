@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <array>
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "lp/simplex.h"
 #include "mip/branch_and_bound.h"
@@ -16,9 +18,102 @@ MipOptions ExactOptions() {
   return options;
 }
 
-// 2-variable LPs can be brute-forced geometrically: the optimum lies on a
-// vertex = intersection of two active constraints (or bounds). Enumerate
-// all candidate points and compare against the simplex.
+/// Vertex-enumeration oracle that shares no code with the simplex. The
+/// LP's feasible set, cut down to |x_j| <= `box` on each column's infinite
+/// sides, is a polytope, so its minimum lies on a vertex: some n of the
+/// hyperplanes (rows as equalities, each column's two sides) meet there.
+/// Every n-subset is solved by Gaussian elimination and kept if feasible.
+/// Returns false when no vertex is feasible (the LP is infeasible).
+bool EnumerateVertices(const LpModel& model, double box, double& best) {
+  const int n = model.num_variables();
+  std::vector<std::vector<double>> planes;  // a_0..a_{n-1}, b
+  for (int i = 0; i < model.num_constraints(); ++i) {
+    std::vector<double> plane(n + 1, 0.0);
+    for (const auto& [j, a] : model.constraint(i).terms) plane[j] = a;
+    plane[n] = model.constraint(i).rhs;
+    planes.push_back(std::move(plane));
+  }
+  for (int j = 0; j < n; ++j) {
+    const double lo = model.variable(j).lower;
+    const double hi = model.variable(j).upper;
+    for (double side : {std::isfinite(lo) ? lo : -box,
+                        std::isfinite(hi) ? hi : box}) {
+      std::vector<double> plane(n + 1, 0.0);
+      plane[j] = 1.0;
+      plane[n] = side;
+      planes.push_back(std::move(plane));
+    }
+  }
+
+  auto feasible = [&](const std::vector<double>& x) {
+    double scale = 1.0;
+    for (double v : x) scale = std::max(scale, std::abs(v));
+    const double tol = 1e-7 * scale;
+    for (int j = 0; j < n; ++j) {
+      const double lo = model.variable(j).lower;
+      const double hi = model.variable(j).upper;
+      if (x[j] < (std::isfinite(lo) ? lo : -box) - tol) return false;
+      if (x[j] > (std::isfinite(hi) ? hi : box) + tol) return false;
+    }
+    for (int i = 0; i < model.num_constraints(); ++i) {
+      const LpModel::Constraint& row = model.constraint(i);
+      double activity = 0.0;
+      for (const auto& [j, a] : row.terms) activity += a * x[j];
+      const double excess = activity - row.rhs;
+      if (row.sense != ConstraintSense::kGreaterEqual && excess > tol) {
+        return false;
+      }
+      if (row.sense != ConstraintSense::kLessEqual && excess < -tol) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  // Solves the n picked hyperplanes as equalities (partial pivoting);
+  // false when they are not linearly independent.
+  auto intersect = [&](const std::vector<int>& pick, std::vector<double>& x) {
+    std::vector<std::vector<double>> m;
+    for (int k : pick) m.push_back(planes[k]);
+    for (int col = 0; col < n; ++col) {
+      int pivot = col;
+      for (int r = col + 1; r < n; ++r) {
+        if (std::abs(m[r][col]) > std::abs(m[pivot][col])) pivot = r;
+      }
+      if (std::abs(m[pivot][col]) < 1e-9) return false;
+      std::swap(m[col], m[pivot]);
+      for (int r = 0; r < n; ++r) {
+        if (r == col) continue;
+        const double f = m[r][col] / m[col][col];
+        for (int c = col; c <= n; ++c) m[r][c] -= f * m[col][c];
+      }
+    }
+    for (int j = 0; j < n; ++j) x[j] = m[j][n] / m[j][j];
+    return true;
+  };
+
+  bool found = false;
+  const int num_planes = static_cast<int>(planes.size());
+  std::vector<int> pick(n);
+  std::vector<double> x(n);
+  // Lexicographic walk over the n-subsets of the hyperplanes.
+  for (int k = 0; k < n; ++k) pick[k] = k;
+  while (true) {
+    if (intersect(pick, x) && feasible(x)) {
+      const double objective = model.EvaluateObjective(x);
+      if (!found || objective < best) best = objective;
+      found = true;
+    }
+    int k = n - 1;
+    while (k >= 0 && pick[k] == num_planes - n + k) --k;
+    if (k < 0) break;
+    ++pick[k];
+    for (int r = k + 1; r < n; ++r) pick[r] = pick[r - 1] + 1;
+  }
+  return found;
+}
+
+// 2-variable boxed LPs with <= rows, checked against vertex enumeration.
 TEST(SimplexStressTest, TwoVariableVertexEnumeration) {
   Rng rng(314);
   int solved = 0;
@@ -31,49 +126,18 @@ TEST(SimplexStressTest, TwoVariableVertexEnumeration) {
     model.AddVariable(lo0, hi0, c0);
     model.AddVariable(lo1, hi1, c1);
     const int m = 1 + static_cast<int>(rng.NextBounded(4));
-    std::vector<std::array<double, 3>> rows;  // a0, a1, b  (a·x <= b)
     for (int i = 0; i < m; ++i) {
       const double a0 = rng.NextDouble() * 2 - 0.5;
       const double a1 = rng.NextDouble() * 2 - 0.5;
       const double b = rng.NextDouble() * 8;
-      rows.push_back({a0, a1, b});
       model.AddConstraint(ConstraintSense::kLessEqual, b,
                           {{0, a0}, {1, a1}});
     }
 
-    // Candidate vertices: intersections of every pair of "lines" drawn
-    // from constraints and box edges.
-    std::vector<std::array<double, 3>> lines = rows;  // as equalities
-    lines.push_back({1, 0, lo0});
-    lines.push_back({1, 0, hi0});
-    lines.push_back({0, 1, lo1});
-    lines.push_back({0, 1, hi1});
-    double best = 1e300;
-    auto consider = [&](double x0, double x1) {
-      if (x0 < lo0 - 1e-9 || x0 > hi0 + 1e-9 || x1 < lo1 - 1e-9 ||
-          x1 > hi1 + 1e-9) {
-        return;
-      }
-      for (const auto& [a0, a1, b] : rows) {
-        if (a0 * x0 + a1 * x1 > b + 1e-7) return;
-      }
-      best = std::min(best, c0 * x0 + c1 * x1);
-    };
-    for (size_t i = 0; i < lines.size(); ++i) {
-      for (size_t j = i + 1; j < lines.size(); ++j) {
-        const double det =
-            lines[i][0] * lines[j][1] - lines[j][0] * lines[i][1];
-        if (std::abs(det) < 1e-9) continue;
-        const double x0 =
-            (lines[i][2] * lines[j][1] - lines[j][2] * lines[i][1]) / det;
-        const double x1 =
-            (lines[i][0] * lines[j][2] - lines[j][0] * lines[i][2]) / det;
-        consider(x0, x1);
-      }
-    }
-
+    double best = 0.0;
+    const bool feasible = EnumerateVertices(model, /*box=*/0.0, best);
     LpResult result = SolveLp(model);
-    if (best > 1e299) {
+    if (!feasible) {
       // No feasible vertex found by enumeration: the LP must agree.
       EXPECT_EQ(result.status, LpStatus::kInfeasible) << "trial " << trial;
       continue;
@@ -84,6 +148,89 @@ TEST(SimplexStressTest, TwoVariableVertexEnumeration) {
     ++solved;
   }
   EXPECT_GT(solved, 150);  // the vast majority must be feasible + checked
+}
+
+// General LPs with 2-4 columns against the same oracle: boxed, fixed,
+// lower-only, upper-only and free columns with costs of either sign (so
+// unboxed columns are often wrong-signed for their one bound), and <=, >=
+// and = rows. Integer data keep every vertex of the LP itself within
+// |x_j| < 1e4, so a bounded LP has the same enumerated optimum inside the
+// boxes 1e5 and 2e5, and an unbounded one is strictly better inside the
+// larger. Every status must match, and an optimal answer must be feasible
+// and worth the objective it reports.
+TEST(SimplexStressTest, MixedBoundVertexEnumeration) {
+  constexpr double kBox = 1e5;
+  Rng rng(1994);
+  int optimal = 0;
+  int infeasible = 0;
+  int unbounded = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    LpModel model;
+    const int n = 2 + static_cast<int>(rng.NextBounded(3));
+    for (int j = 0; j < n; ++j) {
+      const double cost = static_cast<double>(rng.UniformInt(-3, 3));
+      const double lo = static_cast<double>(rng.UniformInt(-3, 3));
+      switch (rng.NextBounded(5)) {
+        case 0:  // boxed
+          model.AddVariable(lo, lo + static_cast<double>(rng.UniformInt(1, 4)),
+                            cost);
+          break;
+        case 1:
+          model.AddVariable(lo, kLpInfinity, cost);
+          break;
+        case 2:
+          model.AddVariable(-kLpInfinity, lo, cost);
+          break;
+        case 3:
+          model.AddVariable(-kLpInfinity, kLpInfinity, cost);
+          break;
+        default:  // fixed
+          model.AddVariable(lo, lo, cost);
+          break;
+      }
+    }
+    const int m = 1 + static_cast<int>(rng.NextBounded(4));
+    for (int i = 0; i < m; ++i) {
+      std::vector<std::pair<int, double>> terms;
+      for (int j = 0; j < n; ++j) {
+        const double a = static_cast<double>(rng.UniformInt(-3, 3));
+        if (a != 0.0) terms.emplace_back(j, a);
+      }
+      if (terms.empty()) terms.emplace_back(0, 1.0);
+      const ConstraintSense sense =
+          static_cast<ConstraintSense>(rng.NextBounded(3));
+      model.AddConstraint(sense, static_cast<double>(rng.UniformInt(-6, 6)),
+                          std::move(terms));
+    }
+
+    const std::string where = "trial " + std::to_string(trial);
+    double best = 0.0;
+    double best_wider = 0.0;
+    const bool feasible = EnumerateVertices(model, kBox, best);
+    LpResult result = SolveLp(model);
+    if (!feasible) {
+      EXPECT_EQ(result.status, LpStatus::kInfeasible) << where;
+      ++infeasible;
+      continue;
+    }
+    ASSERT_TRUE(EnumerateVertices(model, 2 * kBox, best_wider)) << where;
+    if (best_wider < best - 1e-6 * (1 + std::abs(best))) {
+      EXPECT_EQ(result.status, LpStatus::kUnbounded) << where;
+      ++unbounded;
+      continue;
+    }
+    ASSERT_EQ(result.status, LpStatus::kOptimal) << where;
+    EXPECT_NEAR(result.objective, best, 1e-6 * (1 + std::abs(best))) << where;
+    EXPECT_TRUE(model.CheckFeasible(result.values, 1e-6).ok()) << where;
+    EXPECT_NEAR(model.EvaluateObjective(result.values), result.objective,
+                1e-6 * (1 + std::abs(best)))
+        << where;
+    ++optimal;
+  }
+  // Each verdict must be exercised, not just the common one.
+  EXPECT_GE(optimal, 80);
+  EXPECT_GE(infeasible, 100);
+  EXPECT_GE(unbounded, 50);
 }
 
 // Equality-heavy systems: random nonsingular triangular systems have a
