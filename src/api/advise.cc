@@ -18,11 +18,7 @@
 #include "util/string_util.h"
 
 namespace vpart {
-namespace {
 
-/// Folds one solve's LP statistics into the global metrics registry so
-/// Prometheus scrapes see process-lifetime totals alongside the per-solve
-/// telemetry.mip block (whose schema stays untouched).
 void FoldLpStatsIntoMetrics(const LpSolveStats& stats) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   static Counter& lp_solves = registry.GetCounter(
@@ -32,7 +28,8 @@ void FoldLpStatsIntoMetrics(const LpSolveStats& stats) {
   static Counter& cold = registry.GetCounter(
       "vpart_lp_cold_starts_total", "Node LPs solved from scratch");
   static Counter& iterations = registry.GetCounter(
-      "vpart_lp_iterations_total", "Simplex pivots (primal+phase1+dual)");
+      "vpart_lp_iterations_total",
+      "Simplex pivots (telemetry.mip total_iterations)");
   static Counter& factorizations = registry.GetCounter(
       "vpart_lp_factorizations_total", "Basis factorizations from scratch");
   static Counter& ft_updates = registry.GetCounter(
@@ -42,12 +39,13 @@ void FoldLpStatsIntoMetrics(const LpSolveStats& stats) {
   lp_solves.Add(stats.lp_solves);
   warm.Add(stats.warm_starts);
   cold.Add(stats.cold_starts);
-  iterations.Add(stats.primal_iterations + stats.phase1_iterations +
-                 stats.dual_iterations);
+  iterations.Add(stats.total_iterations());
   factorizations.Add(stats.factorizations);
   ft_updates.Add(stats.ft_updates);
   lp_micros.Add(static_cast<long>(stats.lp_seconds * 1e6));
 }
+
+namespace {
 
 /// Gauge decrement on every exit path (the advise body has many early
 /// returns).

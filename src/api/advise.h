@@ -218,6 +218,12 @@ struct AdviseHooks {
   const std::atomic<bool>* user_cancelled = nullptr;
 };
 
+/// Folds one solve's LP statistics into the global metrics registry (the
+/// vpart_lp_*_total counters) so Prometheus scrapes see process-lifetime
+/// totals alongside the per-solve telemetry.mip block. Advise calls it once
+/// per response.
+void FoldLpStatsIntoMetrics(const LpSolveStats& stats);
+
 /// Synchronous advise through the registry: resolves the solver, applies
 /// attribute grouping, solves, validates, and prices the result. The
 /// blocking core that AdviseSession runs on a background thread.

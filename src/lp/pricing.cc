@@ -5,30 +5,6 @@
 
 namespace vpart {
 
-void DevexPricing::Reset(int num_cols) {
-  weights_.assign(num_cols, 1.0);
-}
-
-void DevexPricing::UpdateOnPivot(const SparseVector& alpha_row, int entering,
-                                 double alpha_q, int leaving) {
-  if (alpha_q == 0.0) return;
-  const double wq = weights_[entering];
-  const double inv_sq = 1.0 / (alpha_q * alpha_q);
-  double max_weight = 0.0;
-  for (int j : alpha_row.index) {
-    const double a = alpha_row.value[j];
-    if (a == 0.0) continue;
-    const double candidate = a * a * inv_sq * wq;
-    if (candidate > weights_[j]) weights_[j] = candidate;
-    max_weight = std::max(max_weight, weights_[j]);
-  }
-  weights_[leaving] = std::max(wq * inv_sq, 1.0);
-  if (std::max(max_weight, weights_[leaving]) > kResetThreshold) {
-    ++resets_;
-    std::fill(weights_.begin(), weights_.end(), 1.0);
-  }
-}
-
 void DualSteepestEdgePricing::Reset(int num_rows) {
   weights_.assign(num_rows, 1.0);
 }

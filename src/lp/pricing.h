@@ -20,55 +20,6 @@ namespace vpart {
 // [pricing-rule:*] anchors below for the seams it references.
 // ---------------------------------------------------------------------------
 
-/// Devex pricing for the primal simplex (Forrest–Goldfarb reference
-/// framework, P. M. J. Harris' devex weights). Each nonbasic column j
-/// carries a weight w_j approximating the steepest-edge norm of its edge
-/// direction relative to the *reference framework* — the nonbasic set at
-/// the last Reset(). The solver picks the eligible column maximizing
-/// d_j² / w_j.
-///
-/// [pricing-rule:devex-update] After a pivot (entering q at pivot-row
-/// value alpha_q, pivot row alpha over the nonbasic columns):
-///   w_j   <- max(w_j, (alpha_j / alpha_q)² · w_q)   for nonbasic j
-///   w_q'  <- max(w_q / alpha_q², 1)                 for the leaving column
-/// Weights only grow between resets; when the largest weight exceeds
-/// `kResetThreshold` the framework restarts from 1.0 (counted — surfaced
-/// as telemetry.mip.se_resets together with the dual resets).
-class DevexPricing {
- public:
-  /// Largest weight tolerated before the reference framework resets.
-  static constexpr double kResetThreshold = 1e7;
-
-  /// Starts a fresh reference framework over `num_cols` columns.
-  void Reset(int num_cols);
-
-  double weight(int j) const { return weights_[j]; }
-
-  /// Score of candidate j with reduced-cost violation `violation` (> 0).
-  double Score(int j, double violation) const {
-    return violation * violation / weights_[j];
-  }
-
-  /// Weight update after a basis change. `alpha_row` is the pivot row over
-  /// the nonbasic columns, as a sparse vector: only its listed columns are
-  /// visited. `entering`/`alpha_q` are the entering column and its
-  /// pivot-row entry, `leaving` the column that left the basis. Triggers a
-  /// framework reset when weights explode.
-  void UpdateOnPivot(const SparseVector& alpha_row, int entering,
-                     double alpha_q, int leaving);
-
-  long resets() const { return resets_; }
-
-  /// All weights of the current framework (empty before the first Reset).
-  /// Read-only view for the invariant auditor: every entry must stay finite
-  /// and strictly positive between resets.
-  const std::vector<double>& weights() const { return weights_; }
-
- private:
-  std::vector<double> weights_;
-  long resets_ = 0;
-};
-
 /// Dual steepest-edge pricing for the dual simplex (the Forrest–Goldfarb
 /// "reference weights" flavor, sometimes called dual devex): each basis
 /// position i carries gamma_i approximating ‖B⁻ᵀe_i‖², the squared norm of
@@ -106,7 +57,9 @@ class DualSteepestEdgePricing {
 
   long resets() const { return resets_; }
 
-  /// See DevexPricing::weights().
+  /// All weights of the current framework (empty before the first Reset).
+  /// Read-only view for the invariant auditor: every entry must stay finite
+  /// and strictly positive between resets.
   const std::vector<double>& weights() const { return weights_; }
 
  private:

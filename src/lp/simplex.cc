@@ -98,7 +98,6 @@ void SimplexSolver::BuildMatrix() {
   col_start_.push_back(static_cast<int>(row_index_.size()));
 
   num_cols_ = num_struct_ + num_logicals;
-  first_artificial_ = num_cols_;
   state_.assign(num_cols_, VarState::kAtLower);
   xval_.assign(num_cols_, 0.0);
   basis_.assign(num_rows_, -1);
@@ -124,6 +123,8 @@ void SimplexSolver::BuildMatrix() {
   column_.Reset(num_rows_);
   flip_column_.Reset(num_rows_);
   duals_.Reset(num_rows_);
+  alpha_.Reset(num_cols_);
+  alpha_mark_.assign(num_cols_, 0);
   row_infeasibility_.assign(num_rows_, 0.0);
 }
 
@@ -140,89 +141,36 @@ void SimplexSolver::SetBounds(
   }
 }
 
-void SimplexSolver::TruncateArtificials() {
-  if (num_cols_ == first_artificial_) return;
-  row_index_.resize(col_start_[first_artificial_]);
-  value_.resize(col_start_[first_artificial_]);
-  col_start_.resize(first_artificial_ + 1);
-  lower_.resize(first_artificial_);
-  upper_.resize(first_artificial_);
-  real_cost_.resize(first_artificial_);
-  state_.resize(first_artificial_);
-  xval_.resize(first_artificial_);
-  num_cols_ = first_artificial_;
+void SimplexSolver::SetSlackBasis() {
+  factor_synced_ = false;  // the basis changes wholesale below
+  state_.assign(num_cols_, VarState::kAtLower);
+  for (int i = 0; i < num_rows_; ++i) {
+    basis_[i] = num_struct_ + i;
+    state_[num_struct_ + i] = VarState::kBasic;
+  }
 }
 
-void SimplexSolver::ResetToCrashBasis() {
-  TruncateArtificials();
-  factor_synced_ = false;  // the basis changes wholesale below
-
-  // Nonbasic start: every structural at its finite bound (preferring lower),
-  // logicals basic where feasible, artificials where not.
-  state_.assign(num_cols_, VarState::kAtLower);
-  xval_.assign(num_cols_, 0.0);
-  for (int j = 0; j < num_struct_; ++j) {
-    if (std::isfinite(lower_[j])) {
+bool SimplexSolver::PlaceNonbasics(const std::vector<double>& d, double tol) {
+  bool dual_feasible = true;
+  for (int j = 0; j < num_cols_; ++j) {
+    if (state_[j] == VarState::kBasic) continue;
+    const bool has_lower = std::isfinite(lower_[j]);
+    const bool has_upper = std::isfinite(upper_[j]);
+    if (has_lower && (d[j] >= 0.0 || !has_upper)) {
       state_[j] = VarState::kAtLower;
       xval_[j] = lower_[j];
-    } else if (std::isfinite(upper_[j])) {
+      dual_feasible &= d[j] >= -tol;
+    } else if (has_upper) {
       state_[j] = VarState::kAtUpper;
       xval_[j] = upper_[j];
-    } else {
-      state_[j] = VarState::kAtLower;  // free variable parked at 0
+      dual_feasible &= d[j] <= tol;
+    } else {  // free: parked at 0, where any move is a ratio-test entry
+      state_[j] = VarState::kAtLower;
       xval_[j] = 0.0;
+      dual_feasible &= std::abs(d[j]) <= tol;
     }
   }
-
-  // Row activity of the nonbasic structural start.
-  std::vector<double> activity(num_rows_, 0.0);
-  for (int j = 0; j < num_struct_; ++j) {
-    if (xval_[j] == 0.0) continue;
-    for (int k = col_start_[j]; k < col_start_[j + 1]; ++k) {
-      activity[row_index_[k]] += value_[k] * xval_[j];
-    }
-  }
-
-  basis_.assign(num_rows_, -1);
-  std::vector<std::pair<int, double>> artificial_cols;  // (row, sign)
-  for (int i = 0; i < num_rows_; ++i) {
-    const int logical = num_struct_ + i;
-    const double residual = rhs_[i] - activity[i];
-    if (residual >= lower_[logical] - options_.feasibility_tol &&
-        residual <= upper_[logical] + options_.feasibility_tol) {
-      basis_[i] = logical;
-      state_[logical] = VarState::kBasic;
-      xval_[logical] = residual;
-    } else if (residual > upper_[logical]) {
-      // Park the logical at its upper bound; artificial covers the excess.
-      state_[logical] = VarState::kAtUpper;
-      xval_[logical] = upper_[logical];
-      artificial_cols.emplace_back(i, +1.0);
-    } else {
-      state_[logical] = VarState::kAtLower;
-      xval_[logical] = lower_[logical];
-      artificial_cols.emplace_back(i, -1.0);
-    }
-  }
-
-  col_start_.pop_back();  // re-open the column list for the artificials
-  for (const auto& [row, sign] : artificial_cols) {
-    col_start_.push_back(static_cast<int>(row_index_.size()));
-    row_index_.push_back(row);
-    value_.push_back(sign);
-    lower_.push_back(0.0);
-    upper_.push_back(kLpInfinity);
-    real_cost_.push_back(0.0);
-    const int j = num_cols_++;
-    state_.push_back(VarState::kBasic);
-    const double logical_value = xval_[num_struct_ + row];
-    const double residual = rhs_[row] - activity[row] - logical_value;
-    xval_.push_back(residual / sign);  // positive by construction
-    basis_[row] = j;
-  }
-  col_start_.push_back(static_cast<int>(row_index_.size()));
-
-  assert(static_cast<int>(col_start_.size()) == num_cols_ + 1);
+  return dual_feasible;
 }
 
 void SimplexSolver::ResetCallCounters() {
@@ -234,7 +182,7 @@ void SimplexSolver::ResetCallCounters() {
   use_bland_ = false;
   deadline_ = Deadline(options_.time_limit_seconds);
   factor_stats_base_ = factor_.stats();
-  pricing_resets_base_ = devex_.resets() + dse_.resets();
+  pricing_resets_base_ = dse_.resets();
   // Propagate the solver tolerances into the factorization.
   LuFactorization::Options factor_options = factor_.options();
   factor_options.pivot_tol = options_.pivot_tol;
@@ -346,14 +294,6 @@ void SimplexSolver::AuditRowInfeasibility() {
 }
 
 void SimplexSolver::AuditPricingWeights() {
-  if (options_.use_devex && !devex_.weights().empty()) {
-    ++audits_run_total_;
-    if (!AllFinitePositive(devex_.weights())) {
-      ++audit_failures_total_;
-      VPART_LOG(Warning)
-          << "lp audit: devex weight non-positive or non-finite";
-    }
-  }
   if (options_.use_steepest_edge && !dse_.weights().empty()) {
     ++audits_run_total_;
     if (!AllFinitePositive(dse_.weights())) {
@@ -380,7 +320,7 @@ void SimplexSolver::ComputeReducedCosts(std::vector<double>& d) {
   }
 }
 
-void SimplexSolver::PricePivotRow(const SparseVector& rho, bool skip_fixed) {
+void SimplexSolver::PricePivotRow(const SparseVector& rho) {
   for (int j : alpha_.index) alpha_mark_[j] = 0;
   alpha_.Clear();
   for (int i : rho.index) {
@@ -388,8 +328,7 @@ void SimplexSolver::PricePivotRow(const SparseVector& rho, bool skip_fixed) {
     if (rho_i == 0.0) continue;
     for (int idx = row_start_[i]; idx < row_start_[i + 1]; ++idx) {
       const int j = row_col_[idx];
-      if (state_[j] == VarState::kBasic) continue;
-      if (skip_fixed && lower_[j] == upper_[j]) continue;
+      if (state_[j] == VarState::kBasic || lower_[j] == upper_[j]) continue;
       if (!alpha_mark_[j]) {
         alpha_mark_[j] = 1;
         alpha_.index.push_back(j);
@@ -397,234 +336,14 @@ void SimplexSolver::PricePivotRow(const SparseVector& rho, bool skip_fixed) {
       alpha_.value[j] += rho_i * row_value_[idx];
     }
   }
-  for (int j = first_artificial_; j < num_cols_; ++j) {
-    if (state_[j] == VarState::kBasic) continue;
-    if (skip_fixed && lower_[j] == upper_[j]) continue;
-    const int k = col_start_[j];
-    const double rho_i = rho.value[row_index_[k]];
-    if (rho_i == 0.0) continue;
-    alpha_mark_[j] = 1;
-    alpha_.index.push_back(j);
-    alpha_.value[j] += rho_i * value_[k];
-  }
 }
 
-double SimplexSolver::PrimalViolation(int j, double dj) const {
-  if (state_[j] == VarState::kBasic) return 0.0;
-  if (lower_[j] == upper_[j]) return 0.0;  // fixed: cannot move
-  if (state_[j] == VarState::kAtLower) {
-    // Can increase (or, for free variables parked at 0, also decrease).
-    double violation = -dj;
-    if (!std::isfinite(lower_[j]) && dj > options_.optimality_tol) {
-      violation = dj;  // free variable can decrease too
-    }
-    return violation;
-  }
-  return dj;
-}
-
-int SimplexSolver::PricePrimal(const std::vector<double>& d) const {
-  int best = -1;
-  double best_score = 0.0;
-  for (int j = 0; j < num_cols_; ++j) {
-    const double violation = PrimalViolation(j, d[j]);
-    if (violation <= options_.optimality_tol) continue;
-    // Devex scores by d²/w (steepest edge within the reference framework);
-    // with devex off this degrades to the classic Dantzig rule.
-    const double score =
-        options_.use_devex ? devex_.Score(j, violation) : violation;
-    if (best < 0 || score > best_score) {
-      best_score = score;
-      best = j;
-    }
-  }
-  return best;
-}
-
-int SimplexSolver::PriceBland(const std::vector<double>& d) const {
-  for (int j = 0; j < num_cols_; ++j) {
-    if (state_[j] == VarState::kBasic) continue;
-    if (lower_[j] == upper_[j]) continue;
-    if (state_[j] == VarState::kAtLower) {
-      if (d[j] < -options_.optimality_tol) return j;
-      if (!std::isfinite(lower_[j]) && d[j] > options_.optimality_tol)
-        return j;
-    } else {
-      if (d[j] > options_.optimality_tol) return j;
-    }
-  }
-  return -1;
-}
-
-double SimplexSolver::PhaseObjective() const {
-  double obj = 0.0;
-  for (int j = 0; j < num_cols_; ++j) obj += cost_[j] * xval_[j];
-  return obj;
-}
-
-LpStatus SimplexSolver::RunPhase(long max_iterations) {
-  std::vector<double> d;
-  const std::vector<double>& w = column_.value;
-  alpha_.Reset(num_cols_);
-  alpha_mark_.assign(num_cols_, 0);
-  double last_objective = PhaseObjective();
-
-  // Reduced costs are computed once and maintained incrementally across
-  // pivots (d'_j = d_j - (d_q/alpha_q)·alpha_j over the pivot row, which
-  // devex needs anyway); they are recomputed from scratch after every
-  // refactorization, and re-verified before any optimality claim.
-  ComputeReducedCosts(d);
-  bool d_fresh = true;
-  if (options_.use_devex) devex_.Reset(num_cols_);
-
-  while (true) {
-    if (iterations_ >= max_iterations) return LpStatus::kIterationLimit;
-    if ((iterations_ & 63) == 0 && deadline_.Expired()) {
-      return LpStatus::kTimeLimit;
-    }
-    const int entering = use_bland_ ? PriceBland(d) : PricePrimal(d);
-    if (entering < 0) {
-      // Incrementally maintained reduced costs drift; only a freshly
-      // recomputed vector may certify optimality.
-      if (d_fresh) return LpStatus::kOptimal;
-      ComputeReducedCosts(d);
-      d_fresh = true;
-      continue;
-    }
-
-    // Direction: +1 when the entering variable increases.
-    int dir;
-    if (state_[entering] == VarState::kAtLower) {
-      dir = (d[entering] < 0 || std::isfinite(lower_[entering])) ? +1 : -1;
-      if (!std::isfinite(lower_[entering]) && d[entering] > 0) dir = -1;
-    } else {
-      dir = -1;
-    }
-
-    factor_.FtranColumn(col_start_, row_index_, value_, entering, column_);
-
-    // Ratio test, over every row: ascending row order decides near-ties.
-    double best_delta = kLpInfinity;
-    int leaving_row = -1;
-    double leaving_abs = 0.0;
-    bool leaving_to_upper = false;
-    for (int i = 0; i < num_rows_; ++i) {
-      const double wi = w[i];
-      if (std::abs(wi) <= options_.pivot_tol) continue;
-      const int b = basis_[i];
-      const double rate = -dir * wi;  // d(x_b)/d(delta)
-      double limit;
-      bool to_upper;
-      if (rate < 0) {
-        if (!std::isfinite(lower_[b])) continue;
-        limit = (xval_[b] - lower_[b]) / (-rate);
-        to_upper = false;
-      } else {
-        if (!std::isfinite(upper_[b])) continue;
-        limit = (upper_[b] - xval_[b]) / rate;
-        to_upper = true;
-      }
-      if (limit < 0) limit = 0;  // tolerate tiny infeasibilities
-      const bool better =
-          limit < best_delta - 1e-12 ||
-          (limit < best_delta + 1e-12 && std::abs(wi) > leaving_abs);
-      if (better) {
-        best_delta = limit;
-        leaving_row = i;
-        leaving_abs = std::abs(wi);
-        leaving_to_upper = to_upper;
-      }
-    }
-    double bound_delta = kLpInfinity;
-    if (std::isfinite(lower_[entering]) && std::isfinite(upper_[entering])) {
-      bound_delta = upper_[entering] - lower_[entering];
-    }
-
-    const double delta = std::min(best_delta, bound_delta);
-    if (!std::isfinite(delta)) return LpStatus::kUnbounded;
-
-    // Apply the step.
-    if (delta != 0.0) {
-      for (int i : column_.index) {
-        if (w[i] != 0.0) xval_[basis_[i]] -= dir * w[i] * delta;
-      }
-      xval_[entering] += dir * delta;
-    }
-
-    if (bound_delta <= best_delta + 1e-12 && bound_delta < kLpInfinity &&
-        delta == bound_delta) {
-      // Bound flip: no basis change, reduced costs unchanged.
-      state_[entering] = (state_[entering] == VarState::kAtLower)
-                             ? VarState::kAtUpper
-                             : VarState::kAtLower;
-      xval_[entering] = (state_[entering] == VarState::kAtUpper)
-                            ? upper_[entering]
-                            : lower_[entering];
-      ++bound_flips_;
-    } else {
-      assert(leaving_row >= 0);
-      const int leaving = basis_[leaving_row];
-
-      // Pivot row alpha (one BTRAN + row-wise PRICE): feeds both the
-      // incremental reduced-cost update and the devex weights.
-      rho_.Clear();
-      rho_.value[leaving_row] = 1.0;
-      rho_.index.push_back(leaving_row);
-      factor_.Btran(rho_);
-      PricePivotRow(rho_, /*skip_fixed=*/false);
-      const double alpha_q = w[leaving_row];
-      const double dual_step = d[entering] / alpha_q;
-      if (dual_step != 0.0) {
-        for (int j : alpha_.index) {
-          if (alpha_.value[j] != 0.0) d[j] -= dual_step * alpha_.value[j];
-        }
-      }
-      d[entering] = 0.0;
-      d[leaving] = -dual_step;
-      d_fresh = false;
-      if (options_.use_devex && !use_bland_) {
-        devex_.UpdateOnPivot(alpha_, entering, alpha_q, leaving);
-      }
-
-      state_[leaving] =
-          leaving_to_upper ? VarState::kAtUpper : VarState::kAtLower;
-      xval_[leaving] = leaving_to_upper ? upper_[leaving] : lower_[leaving];
-      state_[entering] = VarState::kBasic;
-      basis_[leaving_row] = entering;
-
-      bool refactorized = false;
-      if (!UpdateFactorization(entering, leaving_row, refactorized)) {
-        return LpStatus::kNumericalFailure;
-      }
-      if (refactorized) {
-        ComputeReducedCosts(d);
-        d_fresh = true;
-      }
-    }
-
-    ++iterations_;
-
-    // Stall detection for anti-cycling.
-    const double objective = PhaseObjective();
-    if (objective < last_objective - 1e-12 * (1.0 + std::abs(last_objective))) {
-      stall_count_ = 0;
-      last_objective = objective;
-    } else if (++stall_count_ > options_.stall_threshold && !use_bland_) {
-      use_bland_ = true;
-      ComputeReducedCosts(d);  // a clean slate for Bland's rule
-      d_fresh = true;
-    }
-  }
-}
-
-LpResult SimplexSolver::FinishResult(LpStatus status, bool warm,
-                                     bool expose_partial) {
+LpResult SimplexSolver::FinishResult(LpStatus status, bool warm) {
   if (options_.audit_level == AuditLevel::kFull) AuditPricingWeights();
   LpResult result;
   result.status = status;
   result.iterations = iterations_;
   result.phase1_iterations = phase1_iterations_;
-  result.dual_iterations = warm ? iterations_ : 0;
   result.factorizations = factorizations_;
   const LuFactorization::Stats& fs = factor_.stats();
   result.ft_updates = fs.ft_updates - factor_stats_base_.ft_updates;
@@ -634,18 +353,15 @@ LpResult SimplexSolver::FinishResult(LpStatus status, bool warm,
   result.refactor_stability =
       fs.refactor_stability - factor_stats_base_.refactor_stability;
   result.bound_flips = bound_flips_;
-  result.se_resets = devex_.resets() + dse_.resets() - pricing_resets_base_;
+  result.se_resets = dse_.resets() - pricing_resets_base_;
   result.audits_run = audits_run_total_ - audits_run_reported_;
   result.audit_failures = audit_failures_total_ - audit_failures_reported_;
   audits_run_reported_ = audits_run_total_;
   audit_failures_reported_ = audit_failures_total_;
   result.warm_started = warm;
-  // Limit-stop iterates are only exposed when the caller says they are
-  // primal feasible (a phase-2 primal stop); a phase-1 or dual stop leaves
-  // a bound-violating iterate that must never look like an answer.
-  if (status == LpStatus::kOptimal ||
-      (expose_partial && (status == LpStatus::kIterationLimit ||
-                          status == LpStatus::kTimeLimit))) {
+  // Any other stop leaves a primal-infeasible dual iterate, which must
+  // never look like an answer.
+  if (status == LpStatus::kOptimal) {
     result.values.assign(xval_.begin(), xval_.begin() + num_struct_);
     result.objective = model_.EvaluateObjective(result.values);
   }
@@ -655,45 +371,67 @@ LpResult SimplexSolver::FinishResult(LpStatus status, bool warm,
 
 LpResult SimplexSolver::Solve() {
   ResetCallCounters();
-  ResetToCrashBasis();
-  if (!Refactorize()) {
-    return FinishResult(LpStatus::kNumericalFailure, /*warm=*/false,
-                        /*expose_partial=*/false);
-  }
-  const long max_iterations = MaxIterations();
-
-  // Phase 1: drive artificials to zero.
-  const bool has_artificials = num_cols_ > first_artificial_;
-  if (has_artificials) {
-    cost_.assign(num_cols_, 0.0);
-    for (int j = first_artificial_; j < num_cols_; ++j) cost_[j] = 1.0;
-    LpStatus status = RunPhase(max_iterations);
-    phase1_iterations_ = iterations_;
-    if (status == LpStatus::kNumericalFailure ||
-        status == LpStatus::kIterationLimit ||
-        status == LpStatus::kTimeLimit) {
-      return FinishResult(status, /*warm=*/false,
-                          /*expose_partial=*/false);  // phase-1 iterate
-    }
-    // Unbounded cannot happen in phase 1 (objective bounded below by 0).
-    const double infeasibility = PhaseObjective();
-    if (infeasibility >
-            options_.feasibility_tol * (1.0 + std::abs(infeasibility)) &&
-        infeasibility > 1e-6) {
-      return FinishResult(LpStatus::kInfeasible, /*warm=*/false,
-                          /*expose_partial=*/false);
-    }
-    // Fix artificials at zero for phase 2.
-    for (int j = first_artificial_; j < num_cols_; ++j) {
-      lower_[j] = upper_[j] = 0.0;
-      if (state_[j] != VarState::kBasic) xval_[j] = 0.0;
-    }
-  }
-
   cost_ = real_cost_;
-  cost_.resize(num_cols_, 0.0);
-  return FinishResult(RunPhase(max_iterations), /*warm=*/false,
-                      /*expose_partial=*/true);  // phase-2 iterate is feasible
+  SetSlackBasis();
+  // The slack basis prices with π = 0 (its columns are cost-free
+  // logicals), so the reduced costs are the costs themselves.
+  std::vector<double> d = cost_;
+  const bool dual_feasible = PlaceNonbasics(d, options_.optimality_tol);
+  if (!Refactorize()) {
+    return FinishResult(LpStatus::kNumericalFailure, /*warm=*/false);
+  }
+  LpStatus status = dual_feasible ? LpStatus::kOptimal : RunDualPhase1(d);
+  if (status == LpStatus::kOptimal) status = RunDual(MaxIterations(), d);
+  return FinishResult(status, /*warm=*/false);
+}
+
+LpStatus SimplexSolver::RunDualPhase1(std::vector<double>& d) {
+  // The subproblem approach (Fourer 1994; Koberstein & Suhl 2007): minimize
+  // cᵀx over Ax = 0 with each column boxed by its bound pattern — free to
+  // [-1, 1], lower-only to [0, 1], upper-only to [-1, 0], boxed and fixed
+  // to [0, 0]. Every column is boxed, so every basis is dual feasible and
+  // RunDual solves it as it stands. Since cᵀx = dᵀx on Ax = 0, the optimum
+  // is minus the least total dual infeasibility over all bases.
+  std::vector<double> lower(num_cols_), upper(num_cols_);
+  for (int j = 0; j < num_cols_; ++j) {
+    lower[j] = std::isfinite(lower_[j]) ? 0.0 : -1.0;
+    upper[j] = std::isfinite(upper_[j]) ? 0.0 : 1.0;
+  }
+  std::vector<double> rhs(num_rows_, 0.0);
+  lower_.swap(lower);
+  upper_.swap(upper);
+  rhs_.swap(rhs);
+  PlaceNonbasics(d, options_.optimality_tol);
+  RecomputeBasicValues();
+  LpStatus status = RunDual(MaxIterations(), d);
+  lower_.swap(lower);
+  upper_.swap(upper);
+  rhs_.swap(rhs);
+  phase1_iterations_ = iterations_;
+  // x = 0 is feasible for the subproblem, so its dual never proves
+  // infeasibility except through numerical trouble.
+  if (status == LpStatus::kInfeasible) return LpStatus::kNumericalFailure;
+  if (status != LpStatus::kOptimal) return status;
+
+  // Optimum 0: the final basis is dual feasible for the real bounds, within
+  // the loosened tolerance Reoptimize() also accepts.
+  ComputeReducedCosts(d);
+  if (PlaceNonbasics(d, 10.0 * options_.optimality_tol)) {
+    RecomputeBasicValues();
+    return LpStatus::kOptimal;
+  }
+
+  // Optimum < 0: the LP is dual infeasible, so it is unbounded if it is
+  // feasible at all. A zero-cost run decides; its slack start is trivially
+  // dual feasible.
+  std::fill(cost_.begin(), cost_.end(), 0.0);
+  SetSlackBasis();
+  std::fill(d.begin(), d.end(), 0.0);
+  PlaceNonbasics(d, 0.0);
+  if (!Refactorize()) return LpStatus::kNumericalFailure;
+  status = RunDual(MaxIterations(), d);
+  phase1_iterations_ = iterations_;
+  return status == LpStatus::kOptimal ? LpStatus::kUnbounded : status;
 }
 
 LpResult SimplexSolver::SolveWithRetry() {
@@ -715,22 +453,17 @@ LpResult SimplexSolver::SolveWithRetry() {
 Basis SimplexSolver::SaveBasis() const {
   Basis basis;
   basis.basic_of_row_ = basis_;
-  basis.state_.resize(first_artificial_);
-  for (int j = 0; j < first_artificial_; ++j) {
+  basis.state_.resize(num_cols_);
+  for (int j = 0; j < num_cols_; ++j) {
     basis.state_[j] = static_cast<uint8_t>(state_[j]);
   }
   basis.valid_ = basis_ready_;
-  for (int j : basis_) {
-    // A basic phase-1 artificial (degenerate at zero) cannot be reproduced
-    // from the struct+logical snapshot; such bases are not reusable.
-    if (j < 0 || j >= first_artificial_) basis.valid_ = false;
-  }
   return basis;
 }
 
 bool SimplexSolver::LoadBasis(const Basis& basis) {
   if (!basis.valid_ || basis.num_rows() != num_rows_ ||
-      static_cast<int>(basis.state_.size()) != first_artificial_) {
+      static_cast<int>(basis.state_.size()) != num_cols_) {
     return false;
   }
   if (options_.audit_level != AuditLevel::kOff) {
@@ -740,7 +473,7 @@ bool SimplexSolver::LoadBasis(const Basis& basis) {
     // ladder falls back to a cold solve instead of factorizing garbage.
     ++audits_run_total_;
     bool consistent =
-        BasisHeaderConsistent(basis.basic_of_row_, first_artificial_);
+        BasisHeaderConsistent(basis.basic_of_row_, num_cols_);
     if (consistent) {
       for (int col : basis.basic_of_row_) {
         if (basis.state_[col] != static_cast<uint8_t>(VarState::kBasic)) {
@@ -755,13 +488,12 @@ bool SimplexSolver::LoadBasis(const Basis& basis) {
       return false;
     }
   }
-  TruncateArtificials();
   // Loading the basis the solver already holds (the common plunge case:
   // a child reoptimizes right after its parent solved) keeps the live
   // factorization; anything else forces a rebuild on the next Reoptimize.
   factor_synced_ = factor_synced_ && basis.basic_of_row_ == basis_;
   basis_ = basis.basic_of_row_;
-  for (int j = 0; j < first_artificial_; ++j) {
+  for (int j = 0; j < num_cols_; ++j) {
     state_[j] = static_cast<VarState>(basis.state_[j]);
   }
   basis_ready_ = true;
@@ -771,8 +503,6 @@ bool SimplexSolver::LoadBasis(const Basis& basis) {
 LpStatus SimplexSolver::RunDual(long max_iterations, std::vector<double>& d) {
   const std::vector<double>& w = column_.value;
   const std::vector<double>& alpha = alpha_.value;
-  alpha_.Reset(num_cols_);
-  alpha_mark_.assign(num_cols_, 0);
   struct Candidate {
     int j;
     double ratio;
@@ -849,7 +579,7 @@ LpStatus SimplexSolver::RunDual(long max_iterations, std::vector<double>& d) {
     rho_.value[r] = 1.0;
     rho_.index.push_back(r);
     factor_.Btran(rho_);
-    PricePivotRow(rho_, /*skip_fixed=*/true);
+    PricePivotRow(rho_);
 
     // Dual ratio test over the touched columns. Short step (Bland, or
     // bound flips disabled): the entering column minimizes |d_j|/|alpha_j|
@@ -1040,14 +770,9 @@ LpResult SimplexSolver::Reoptimize() {
   // Every bail-out below reports the same "warm path unusable" result;
   // the caller's ladder then falls back to a cold Solve().
   auto fail = [this]() {
-    return FinishResult(LpStatus::kNumericalFailure, /*warm=*/true,
-                        /*expose_partial=*/false);
+    return FinishResult(LpStatus::kNumericalFailure, /*warm=*/true);
   };
   if (!basis_ready_) return fail();
-  for (int j : basis_) {
-    if (j < 0 || j >= first_artificial_) return fail();
-  }
-  TruncateArtificials();
 
   // Snap nonbasic variables onto the (possibly changed) bounds. States that
   // no longer make sense (at-upper with the bound gone) degrade to the
@@ -1099,8 +824,7 @@ LpResult SimplexSolver::Reoptimize() {
   }
 
   // The verified reduced costs seed the dual loop as they are.
-  return FinishResult(RunDual(MaxIterations(), d), /*warm=*/true,
-                      /*expose_partial=*/false);  // dual stops are infeasible
+  return FinishResult(RunDual(MaxIterations(), d), /*warm=*/true);
 }
 
 LpResult SolveLp(const LpModel& model, const SimplexOptions& options,

@@ -50,18 +50,14 @@ struct SimplexOptions {
   /// Fill-growth refactorization trigger: rebuild when the factor's
   /// nonzeros exceed this multiple of the fresh factorization's.
   double fill_ratio = 6.0;
-  /// Devex pricing for the primal phases (off = classic Dantzig).
-  bool use_devex = true;
-  /// Dual steepest-edge row pricing for Reoptimize() (off =
-  /// most-infeasible row selection).
+  /// Dual steepest-edge row pricing (off = most-infeasible row selection).
   bool use_steepest_edge = true;
   /// Long-step (bound-flipping) dual ratio test: harvest nonbasic bound
   /// flips along the dual ray so box-constrained variables move in bulk
   /// per pivot (off = one basis change per dual pivot).
   bool use_bound_flips = true;
   /// After this many consecutive non-improving (degenerate) iterations the
-  /// pricing switches to Bland's rule, which guarantees termination. Applies
-  /// to both the primal phases and the dual reoptimization.
+  /// pricing switches to Bland's rule, which guarantees termination.
   long stall_threshold = 2000;
   /// Self-check level (check/audit.h): kOff (default) runs no audits; kCheap
   /// checks ‖A·x − b‖∞ after each refactorization and basis-header
@@ -77,24 +73,22 @@ struct SimplexOptions {
 struct LpResult {
   LpStatus status = LpStatus::kNumericalFailure;
   double objective = 0.0;
-  /// Structural variable values. Populated for kOptimal, and as a
-  /// best-effort (feasible but suboptimal) iterate when the phase-2 primal
-  /// stops on an iteration/time limit; empty otherwise — a phase-1 or
-  /// dual-reoptimization stop leaves a primal-infeasible iterate, which is
+  /// Structural variable values; populated for kOptimal only. Every other
+  /// stop leaves a dual simplex iterate, which is primal infeasible and
   /// never exposed.
   std::vector<double> values;
-  /// Total pivots of this call (primal phases, or dual when warm_started).
+  /// Dual simplex pivots of this call (every pivot is a dual pivot).
   long iterations = 0;
+  /// The dual phase-1 share of `iterations`: the auxiliary problem and the
+  /// zero-cost run of a cold solve that did not start dual feasible.
   long phase1_iterations = 0;
-  /// Dual pivots (non-zero only for Reoptimize calls).
-  long dual_iterations = 0;
   /// Fresh LU factorizations of the basis during this call.
   long factorizations = 0;
   /// Forrest–Tomlin updates applied during this call.
   long ft_updates = 0;
-  /// Nonbasic bound flips (long-step dual + primal bound-to-bound moves).
+  /// Nonbasic bound flips harvested by the long-step dual ratio test.
   long bound_flips = 0;
-  /// Devex / dual-steepest-edge reference-framework resets.
+  /// Dual-steepest-edge reference-framework resets.
   long se_resets = 0;
   /// Refactorization triggers of this call, by reason (update-count cap,
   /// fill growth, numerical distrust); see LpSolveStats for semantics.
@@ -107,14 +101,16 @@ struct LpResult {
   long audits_run = 0;
   long audit_failures = 0;
   /// True when this result came from a dual reoptimization of a loaded
-  /// basis rather than a cold two-phase primal.
+  /// basis rather than a cold solve from the slack basis.
   bool warm_started = false;
 
-  /// Folds this call's factorization/pricing counters into an aggregate —
-  /// the one place that knows the LpResult <-> LpSolveStats counter
-  /// mapping (the iteration/start counters stay caller-assigned because
-  /// their meaning depends on the warm/cold path taken).
-  void AddFactorCountersTo(LpSolveStats& stats) const {
+  /// Folds this call's pivot, factorization and pricing counters into an
+  /// aggregate — the one place that knows the LpResult <-> LpSolveStats
+  /// counter mapping (the warm/cold start counters stay caller-assigned:
+  /// they depend on the ladder rung that answered).
+  void AddCountersTo(LpSolveStats& stats) const {
+    stats.dual_iterations += iterations;
+    stats.phase1_iterations += phase1_iterations;
     stats.factorizations += factorizations;
     stats.ft_updates += ft_updates;
     stats.bound_flips += bound_flips;
@@ -131,9 +127,8 @@ struct LpResult {
 /// at-lower/at-upper state of every nonbasic column (structurals and
 /// logicals). Cheap to copy, safe to share across threads once saved, and
 /// valid for any SimplexSolver built over the *same* LpModel — the point is
-/// to carry a parent B&B node's optimal basis into its children. A snapshot
-/// taken while a phase-1 artificial is still basic reports !valid() (rare;
-/// callers fall back to a cold solve).
+/// to carry a parent B&B node's optimal basis into its children. Only a
+/// basis left by an optimal solve is valid().
 class Basis {
  public:
   bool valid() const { return valid_; }
@@ -168,13 +163,16 @@ class Basis {
 /// (the plunging child of a just-solved B&B node) skips the rebuild
 /// entirely.
 ///
-/// Solve() is the cold two-phase primal: devex pricing (Dantzig when
-/// disabled, Bland under stalls) with reduced costs maintained
-/// incrementally across pivots. Reoptimize() runs a bounded-variable dual
-/// simplex from the loaded basis — dual steepest-edge row selection and a
-/// long-step (bound-flipping) ratio test — so after a bound tightening the
-/// parent's optimal basis reoptimizes in a handful of dual pivots without
-/// any phase 1. See src/lp/README.md for the full internals contract.
+/// Both entry points run the one algorithm, a bounded-variable dual simplex
+/// (dual steepest-edge row selection, a long-step bound-flipping ratio
+/// test, reduced costs maintained incrementally across pivots, Bland's
+/// rule under stalls). Reoptimize() starts it from the loaded basis, so
+/// after a bound tightening the parent's optimal basis reoptimizes in a
+/// handful of pivots. Solve() starts it from the slack basis with each
+/// structural on the bound its cost sign picks — dual feasible for every
+/// vpart formulation; other LPs first run a dual phase 1 over a boxed
+/// auxiliary problem. See src/lp/README.md for the full internals
+/// contract.
 ///
 /// Not thread-safe; use one SimplexSolver per worker. The model must
 /// outlive the solver.
@@ -196,7 +194,9 @@ class SimplexSolver {
   const SimplexOptions& options() const { return options_; }
   void set_options(const SimplexOptions& options) { options_ = options; }
 
-  /// Cold solve: crash basis, phase 1 (artificials), phase 2 primal.
+  /// Cold solve: the dual simplex from the slack basis (after a dual
+  /// phase 1 when that start is not dual feasible). Reports kUnbounded
+  /// for a feasible LP whose dual is infeasible.
   LpResult Solve();
 
   /// Solve() with the historical numerical-failure retry: one more cold
@@ -206,8 +206,8 @@ class SimplexSolver {
   /// Dual-simplex reoptimization from the current basis (set by LoadBasis,
   /// or left by a previous optimal solve). Returns kOptimal/kInfeasible on
   /// a completed proof; kNumericalFailure when the basis is unusable
-  /// (singular, dual infeasible beyond tolerance, artificial still basic) —
-  /// the caller's ladder then falls back to a cold Solve().
+  /// (singular, or dual infeasible beyond tolerance) — the caller's ladder
+  /// then falls back to a cold Solve().
   LpResult Reoptimize();
 
   /// Snapshot of the current basis (see Basis). Call after an optimal
@@ -228,14 +228,16 @@ class SimplexSolver {
 
   // --- setup -------------------------------------------------------------
   void BuildMatrix();
-  void TruncateArtificials();
-  /// Rebuilds the crash basis (nonbasic structurals at bounds, logicals
-  /// basic where feasible, artificials where not) for a cold solve.
-  void ResetToCrashBasis();
+  /// Makes every logical basic and every structural nonbasic (unplaced:
+  /// PlaceNonbasics picks their bounds).
+  void SetSlackBasis();
+  /// Puts each nonbasic column on the bound its reduced cost d_j picks: a
+  /// finite lower bound when d_j >= 0 or there is no upper one, else a
+  /// finite upper bound; a free column parks at 0. Returns whether every
+  /// placement is dual feasible within `tol`.
+  bool PlaceNonbasics(const std::vector<double>& d, double tol);
   void ResetCallCounters();
-  /// `expose_partial`: limit-stop iterates are primal feasible (phase-2
-  /// primal) and may be reported as best-effort values.
-  LpResult FinishResult(LpStatus status, bool warm, bool expose_partial);
+  LpResult FinishResult(LpStatus status, bool warm);
 
   // --- linear algebra over the LU factorization --------------------------
   bool Refactorize();
@@ -258,27 +260,24 @@ class SimplexSolver {
   void AuditRowInfeasibility();
 
   // --- pricing -----------------------------------------------------------
-  /// Reduced-cost violation of nonbasic column j (> 0 when j can improve
-  /// the objective by moving off its bound); 0 when ineligible.
-  double PrimalViolation(int j, double dj) const;
-  int PricePrimal(const std::vector<double>& d) const;
-  int PriceBland(const std::vector<double>& d) const;
   void ComputeReducedCosts(std::vector<double>& d);
-  /// Row-wise PRICE: alpha_ := ρᵀA over the nonbasic columns (fixed ones
-  /// too unless `skip_fixed`), walking only ρ's nonzero rows of the
-  /// row-wise copy; alpha_.index lists the columns touched. Phase-1
-  /// artificials (singletons outside the row-wise copy) are added directly.
-  void PricePivotRow(const SparseVector& rho, bool skip_fixed);
+  /// Row-wise PRICE: alpha_ := ρᵀA over the nonbasic, non-fixed columns,
+  /// walking only ρ's nonzero rows of the row-wise copy; alpha_.index
+  /// lists the columns touched.
+  void PricePivotRow(const SparseVector& rho);
   /// Primal infeasibility of the basic variable in row i (0 when within
   /// its bounds).
   double RowInfeasibility(int i) const;
 
   // --- iteration loops ---------------------------------------------------
-  LpStatus RunPhase(long max_iterations);
-  double PhaseObjective() const;
   /// Dual simplex from a dual-feasible basis; `d` holds its verified
   /// reduced costs and is maintained in place.
   LpStatus RunDual(long max_iterations, std::vector<double>& d);
+  /// Dual phase 1 of a cold solve whose slack start is not dual feasible
+  /// (free or wrong-signed unboxed columns). kOptimal leaves a dual
+  /// feasible basis with `d` its reduced costs, ready for RunDual; a
+  /// dual-infeasible LP ends kUnbounded or kInfeasible instead.
+  LpStatus RunDualPhase1(std::vector<double>& d);
 
   long MaxIterations() const;
 
@@ -289,24 +288,23 @@ class SimplexSolver {
 
   int num_rows_ = 0;
   int num_struct_ = 0;
-  int num_cols_ = 0;  // struct + logicals (+ artificials during cold solves)
+  int num_cols_ = 0;  // struct + logicals
 
   // CSC matrix over all columns.
   std::vector<int> col_start_;
   std::vector<int> row_index_;
   std::vector<double> value_;
-  // Row-wise copy of the structural and logical columns (phase-1
-  // artificials excluded), built once with the CSC matrix: row i spans
+  // Row-wise copy of the same columns, built once with the CSC matrix:
+  // row i spans
   // (row_col_, row_value_)[row_start_[i] .. row_start_[i+1]).
   std::vector<int> row_start_;
   std::vector<int> row_col_;
   std::vector<double> row_value_;
 
   std::vector<double> lower_, upper_;
-  std::vector<double> cost_;       // active phase cost
-  std::vector<double> real_cost_;  // phase-2 cost
+  std::vector<double> cost_;       // active cost (zeroed by phase 1's last run)
+  std::vector<double> real_cost_;  // the model's cost
   std::vector<double> rhs_;
-  int first_artificial_ = 0;  // columns >= this are artificial
 
   // --- simplex state -----------------------------------------------------
   std::vector<int> basis_;       // row -> column
@@ -314,10 +312,9 @@ class SimplexSolver {
   std::vector<double> xval_;     // column -> current value
   LuFactorization factor_;
   /// The live factorization matches basis_ (kept true across pivots by the
-  /// Forrest–Tomlin updates; false after a crash reset or loading a
+  /// Forrest–Tomlin updates; false after a slack reset or loading a
   /// different basis). When true, Reoptimize() skips the rebuild.
   bool factor_synced_ = false;
-  DevexPricing devex_;
   DualSteepestEdgePricing dse_;
   // Iteration workspaces, reused across pivots and solves: ρ = B⁻ᵀe_r, the
   // FTRANed entering column, the FTRANed bound-flip column, the cost
@@ -354,7 +351,7 @@ class SimplexSolver {
 };
 
 /// Solves the LP relaxation of `model` (integrality flags ignored) with a
-/// cold two-phase primal simplex — the one-shot convenience wrapper over
+/// cold dual simplex — the one-shot convenience wrapper over
 /// SimplexSolver, kept for callers that solve each model once.
 LpResult SolveLp(const LpModel& model, const SimplexOptions& options = {},
                  const std::vector<std::pair<double, double>>*

@@ -7,8 +7,8 @@ namespace vpart {
 /// search, one portfolio ILP lane, one advise request. Produced per call by
 /// SimplexSolver (lp/simplex.h), accumulated by mip/, and threaded through
 /// solver/ -> engine/ -> api/ so a service can see how warm starting and
-/// the factorized simplex core are doing (warm_starts vs cold_starts, dual
-/// vs primal pivots, Forrest–Tomlin updates vs refactorizations) without
+/// the factorized simplex core are doing (warm_starts vs cold_starts,
+/// pivots, Forrest–Tomlin updates vs refactorizations) without
 /// attaching a profiler. Field-by-field consumer documentation lives in
 /// README.md § "Solve statistics in the response".
 struct LpSolveStats {
@@ -19,19 +19,21 @@ struct LpSolveStats {
   /// (they are not retried cold, so the ledger stays closed:
   /// warm_starts + cold_starts == lp_solves).
   long warm_starts = 0;
-  /// Solves answered by the two-phase primal from a crash basis.
+  /// Solves answered by a cold dual simplex from the slack basis.
   long cold_starts = 0;
   /// Warm attempts that had to fall back to a cold solve (numerical
   /// failure, a stale or dual-infeasible basis, or an iteration cap hit
   /// mid-reoptimization).
   long warm_start_failures = 0;
-  /// Primal pivots across all cold solves (includes the phase-1 share).
+  /// Kept for the telemetry.mip schema: the LP core has no primal simplex,
+  /// so this reads 0.
   long primal_iterations = 0;
-  /// Phase-1 share of primal_iterations.
+  /// Dual phase-1 share of dual_iterations (cold solves of LPs whose slack
+  /// start is not dual feasible; 0 on every vpart formulation).
   long phase1_iterations = 0;
-  /// Dual pivots across all warm reoptimizations.
+  /// Dual simplex pivots across all solves, warm and cold.
   long dual_iterations = 0;
-  /// Fresh LU factorizations of the basis (cold-start crash bases, stale
+  /// Fresh LU factorizations of the basis (cold-start slack bases, stale
   /// warm-start loads, and trigger-driven rebuilds; see the refactor_*
   /// counters for why the triggered ones fired).
   long factorizations = 0;
@@ -39,10 +41,9 @@ struct LpSolveStats {
   /// healthy steady state is many ft_updates per factorization.
   long ft_updates = 0;
   /// Nonbasic bound flips harvested by the long-step (bound-flipping) dual
-  /// ratio test and by primal bound-to-bound moves: variables moved across
-  /// their box without a basis change.
+  /// ratio test: variables moved across their box without a basis change.
   long bound_flips = 0;
-  /// Devex / dual-steepest-edge reference-framework resets (weights grew
+  /// Dual-steepest-edge reference-framework resets (weights grew
   /// past the trust threshold and restarted from 1). A handful per solve
   /// is normal; a flood signals a numerically hostile model.
   long se_resets = 0;

@@ -94,8 +94,8 @@ int MostFractionalVariable(const LpModel& model, double integrality_tol,
 
 /// Per-worker LP engine: one reusable SimplexSolver (the constraint matrix
 /// is built once per tree, not once per node) plus the warm/cold fallback
-/// ladder — dual reoptimization from the parent basis, then cold two-phase
-/// primal, then the cold retry under tight refactorization.
+/// ladder — warm dual from the parent basis, then cold dual from the slack
+/// basis, then the cold dual again under tight refactorization.
 class NodeLpSolver {
  public:
   NodeLpSolver(const LpModel& model, const MipOptions& options)
@@ -116,8 +116,7 @@ class NodeLpSolver {
     bool answered = false;
     if (use_warm_ && warm != nullptr && solver_.LoadBasis(*warm)) {
       lp = solver_.Reoptimize();
-      delta.dual_iterations += lp.dual_iterations;
-      lp.AddFactorCountersTo(delta);
+      lp.AddCountersTo(delta);
       if (lp.status == LpStatus::kOptimal ||
           lp.status == LpStatus::kInfeasible) {
         ++delta.warm_starts;
@@ -136,9 +135,7 @@ class NodeLpSolver {
     if (!answered) {
       lp = solver_.SolveWithRetry();
       ++delta.cold_starts;
-      delta.primal_iterations += lp.iterations;
-      delta.phase1_iterations += lp.phase1_iterations;
-      lp.AddFactorCountersTo(delta);
+      lp.AddCountersTo(delta);
     }
     ++delta.lp_solves;
     delta.lp_seconds = watch.ElapsedSeconds();

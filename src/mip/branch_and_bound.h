@@ -51,11 +51,11 @@ struct MipOptions {
   double integrality_tol = 1e-6;
   SimplexOptions lp_options;
   /// Carry each parent node's optimal basis into its children and
-  /// reoptimize with the dual simplex instead of re-running the two-phase
-  /// primal from a cold start (see lp/simplex.h). The fallback ladder —
-  /// dual reoptimize, cold primal, cold primal with tight refactorization —
-  /// makes this safe to leave on; disable only to measure the cold
-  /// baseline (bench_parallel --mip-core does).
+  /// reoptimize with the dual simplex instead of solving each node cold
+  /// from the slack basis (see lp/simplex.h). The fallback ladder — warm
+  /// dual, cold dual, cold dual under tight refactorization — makes this
+  /// safe to leave on; disable only to measure the cold baseline
+  /// (bench_parallel --mip-core does).
   bool use_warm_start = true;
   /// Optional warm-start incumbent (full variable assignment). Checked for
   /// feasibility; ignored if infeasible.

@@ -1,10 +1,13 @@
 // Warm-start equivalence suite for the reusable SimplexSolver: dual-simplex
 // reoptimization after bound changes must agree (status + objective) with a
-// cold two-phase primal on the same bounds — across textbook models,
-// randomized LPs, eq.-(7) models of random_instance workloads with B&B-style
-// binary fixings, degenerate/stall cases exercising the Bland fallback, and
-// every combination of the factorized core's pricing upgrades (dual
-// steepest edge, devex, the long-step bound-flipping ratio test). The
+// cold solve from the slack basis on the same bounds — across textbook
+// models, randomized LPs, eq.-(7) models of random_instance workloads with
+// B&B-style binary fixings, degenerate/stall cases exercising the Bland
+// fallback, and every combination of the dual's pricing upgrades (dual
+// steepest edge, the long-step bound-flipping ratio test). Warm and cold
+// both run the dual simplex, so this suite checks the warm start, not the
+// algorithm; lp_stress_test's vertex enumeration is the independent
+// oracle. The
 // eq.-(7) suites run with every runtime audit on and require zero audit
 // failures, and one case fixes and unfixes boxed columns between
 // reoptimizations of one solver, which the row-wise pivot-row PRICE must
@@ -57,7 +60,7 @@ TEST(WarmStartTest, ReoptimizeAfterBoundTighteningMatchesCold) {
   LpResult warm = solver.Reoptimize();
   ASSERT_EQ(warm.status, LpStatus::kOptimal);
   EXPECT_TRUE(warm.warm_started);
-  EXPECT_GT(warm.dual_iterations, 0);
+  EXPECT_GT(warm.iterations, 0);
 
   LpResult cold = SolveLp(model, {}, &bounds);
   ASSERT_EQ(cold.status, LpStatus::kOptimal);
@@ -204,7 +207,7 @@ TEST(WarmStartTest, RandomLpsAgreeAfterRandomTightenings) {
     LpResult base = solver.Solve();
     ASSERT_EQ(base.status, LpStatus::kOptimal) << "trial " << trial;
     Basis basis = solver.SaveBasis();
-    if (!basis.valid()) continue;  // degenerate artificial leftover: rare
+    ASSERT_TRUE(basis.valid()) << "trial " << trial;
 
     for (int change = 0; change < 5; ++change) {
       std::vector<std::pair<double, double>> bounds;
@@ -327,9 +330,9 @@ TEST(WarmStartTest, DegenerateReoptimizationSurvivesBlandFallback) {
   }
 }
 
-// The factorized core's pricing/ratio-test upgrades must not change what
-// is proven: warm==cold across the 2^3 combinations of dual steepest edge,
-// bound flips, and devex on the production-shaped eq.-(7) models.
+// The dual's pricing/ratio-test upgrades must not change what is proven:
+// warm==cold across the 2^2 combinations of dual steepest edge and bound
+// flips on the production-shaped eq.-(7) models.
 TEST(WarmStartTest, PricingAndRatioTestVariantsAgreeWarmAndCold) {
   Rng rng(99);
   IlpFormulation f = RandomFormulation(8, 1234, "pricing_variants");
@@ -339,11 +342,10 @@ TEST(WarmStartTest, PricingAndRatioTestVariantsAgreeWarmAndCold) {
     if (f.model.variable(j).is_integer) binaries.push_back(j);
   }
 
-  for (int variant = 0; variant < 8; ++variant) {
+  for (int variant = 0; variant < 4; ++variant) {
     SimplexOptions options;
     options.use_steepest_edge = (variant & 1) != 0;
     options.use_bound_flips = (variant & 2) != 0;
-    options.use_devex = (variant & 4) != 0;
     options.audit_level = AuditLevel::kFull;
     const std::string where = "variant " + std::to_string(variant);
 
@@ -537,8 +539,11 @@ TEST(WarmStartTest, TelemetryDistinguishesWarmFromCold) {
   SimplexSolver solver(model);
   LpResult cold = solver.Solve();
   EXPECT_FALSE(cold.warm_started);
-  EXPECT_EQ(cold.dual_iterations, 0);
   EXPECT_GT(cold.iterations, 0);
+  // Negative costs on columns with no upper bound: the slack start is not
+  // dual feasible, so the cold solve spends part of its pivots in phase 1.
+  EXPECT_GT(cold.phase1_iterations, 0);
+  EXPECT_LT(cold.phase1_iterations, cold.iterations);
 
   Basis basis = solver.SaveBasis();
   std::vector<std::pair<double, double>> bounds = {{0, 1}, {0, 2}};
@@ -547,7 +552,8 @@ TEST(WarmStartTest, TelemetryDistinguishesWarmFromCold) {
   LpResult warm = solver.Reoptimize();
   ASSERT_EQ(warm.status, LpStatus::kOptimal);
   EXPECT_TRUE(warm.warm_started);
-  EXPECT_EQ(warm.iterations, warm.dual_iterations);
+  EXPECT_GT(warm.iterations, 0);
+  EXPECT_EQ(warm.phase1_iterations, 0);
   // Reloading the basis this solver just solved keeps the live LU: the
   // reoptimization must not have paid a single refactorization.
   EXPECT_EQ(warm.factorizations, 0);

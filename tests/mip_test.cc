@@ -284,8 +284,12 @@ TEST(MipTest, ColdModeDisablesWarmStarts) {
   MipResult result = SolveMip(model, options);
   ASSERT_EQ(result.status, MipStatus::kOptimal);
   EXPECT_EQ(result.lp_stats.warm_starts, 0);
-  EXPECT_EQ(result.lp_stats.dual_iterations, 0);
   EXPECT_EQ(result.lp_stats.cold_starts, result.lp_stats.lp_solves);
+  // Cold solves run the dual simplex too, from the slack basis, which is
+  // dual feasible here (binaries are boxed): no phase 1, no primal pivots.
+  EXPECT_GT(result.lp_stats.dual_iterations, 0);
+  EXPECT_EQ(result.lp_stats.phase1_iterations, 0);
+  EXPECT_EQ(result.lp_stats.primal_iterations, 0);
 }
 
 // Warm-started and cold searches must prove the same optimum (the trees may
