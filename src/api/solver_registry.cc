@@ -122,6 +122,8 @@ class SaAdapter : public Solver {
     int64_t restart_start_us = tracer.NowMicros();
     static Counter& restarts_total = MetricsRegistry::Global().GetCounter(
         "vpart_sa_restarts_total", "SA anneals completed");
+    static Counter& iterations_total = MetricsRegistry::Global().GetCounter(
+        "vpart_sa_iterations_total", "SA moves evaluated");
     sa.progress = [&](const SaProgress& progress) {
       restarts_total.Increment();
       if (tracer.Enabled(ObsLevel::kBasic)) {
@@ -154,6 +156,7 @@ class SaAdapter : public Solver {
       }
     };
     SaResult result = SolveWithSa(cost_model, request.num_sites, sa);
+    iterations_total.Add(result.iterations);
     SolverRun run;
     run.partitioning = std::move(result.partitioning);
     run.algorithm = kSolverSa;

@@ -7,6 +7,10 @@
 #include <thread>
 #include <vector>
 
+#include "api/advise.h"
+#include "instances/tpcc.h"
+#include "lp/solve_stats.h"
+
 namespace vpart {
 namespace {
 
@@ -219,6 +223,35 @@ TEST(MetricsRegistryTest, ConcurrentGetOfSameNameIsOneMetric) {
 
 TEST(MetricsRegistryTest, GlobalIsASingleton) {
   EXPECT_EQ(&MetricsRegistry::Global(), &MetricsRegistry::Global());
+}
+
+// vpart_lp_iterations_total advances by exactly telemetry.mip's
+// total_iterations: phase1_iterations is a share of those pivots, not an
+// addition to them. No vpart request reaches the dual phase 1 (every
+// formulation starts dual feasible), so that case is folded directly.
+TEST(LpMetricsTest, IterationCounterAddsTotalIterations) {
+  FoldLpStatsIntoMetrics(LpSolveStats());  // registers the counters
+  const Counter& counter =
+      MetricsRegistry::Global().GetCounter("vpart_lp_iterations_total");
+
+  LpSolveStats stats;
+  stats.lp_solves = 2;
+  stats.cold_starts = 2;
+  stats.dual_iterations = 40;
+  stats.phase1_iterations = 15;
+  long before = counter.Value();
+  FoldLpStatsIntoMetrics(stats);
+  EXPECT_EQ(counter.Value() - before, 40);
+  EXPECT_EQ(counter.Value() - before, stats.total_iterations());
+
+  AdvisorOptions options;
+  options.num_sites = 2;
+  options.algorithm = AdvisorOptions::Algorithm::kIlp;
+  before = counter.Value();
+  auto response = Advise(MakeTpccInstance(), FromAdvisorOptions(options));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_GT(response->lp_stats.total_iterations(), 0);
+  EXPECT_EQ(counter.Value() - before, response->lp_stats.total_iterations());
 }
 
 }  // namespace

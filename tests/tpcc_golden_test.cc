@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "api/advise.h"
+#include "api/request_json.h"
 #include "cost/cost_model.h"
 #include "instances/tpcc.h"
 #include "solver/attribute_groups.h"
@@ -117,6 +121,52 @@ TEST_F(TpccGoldenTest, PaperStructureOfTheThreeSiteOptimum) {
   EXPECT_NE(site_of("Payment"), site_of("NewOrder"));
   EXPECT_NE(site_of("StockLevel"), site_of("NewOrder"));
   EXPECT_NE(site_of("StockLevel"), site_of("Payment"));
+}
+
+// The five TPC-C ILP requests of perfbench's tpcc_ilp_grid workload, as
+// vpart_cli parses them. A serial (bnb_threads 1) search is deterministic,
+// so each proof's tree is pinned exactly: node count and simplex pivots.
+// A change that moves them (start basis, pricing, branching) must update
+// these numbers and say why.
+TEST(TpccIlpGridTest, SearchTreesArePinned) {
+  struct GridCase {
+    const char* key;
+    int num_sites;
+    const char* backend;
+    double cost;
+    long nodes;
+    long iterations;
+  };
+  const GridCase cases[] = {
+      {"paper_s2", 2, "paper", 36653, 3, 463},
+      {"paper_s3", 3, "paper", 36572, 15, 1047},
+      {"paper_s4", 4, "paper", 36572, 41, 2231},
+      {"cacheline_s2", 2, "cacheline", 220448, 7, 1474},
+      {"cacheline_s3", 3, "cacheline", 220512, 23, 5196},
+  };
+  for (const GridCase& c : cases) {
+    SCOPED_TRACE(c.key);
+    const std::string json =
+        std::string(R"({"instance": {"builtin": "tpcc"}, "solver": "ilp",)") +
+        R"( "num_sites": )" + std::to_string(c.num_sites) +
+        R"(, "cost": {"p": 8, "lambda": 0.1}, "cost_model": {"backend": ")" +
+        c.backend +
+        R"("}, "time_limit_seconds": 0, "certify": true,)" +
+        R"( "ilp": {"bnb_threads": 1}})";
+    auto request = ParseCliRequest(json);
+    ASSERT_TRUE(request.ok()) << request.status().ToString();
+    auto instance = LoadCliInstance(*request);
+    ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+    auto response = Advise(*instance, request->request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->result.cost, c.cost);
+    EXPECT_TRUE(response->result.proven_optimal);
+    EXPECT_TRUE(response->certified);
+    EXPECT_EQ(response->lp_stats.primal_iterations, 0);
+    EXPECT_EQ(response->lp_stats.phase1_iterations, 0);
+    EXPECT_EQ(response->bnb_nodes, c.nodes);
+    EXPECT_EQ(response->lp_stats.total_iterations(), c.iterations);
+  }
 }
 
 }  // namespace

@@ -148,7 +148,7 @@ void PrintHelp() {
       "\n"
       "response telemetry: every document carries telemetry.mip — the\n"
       "branch & bound's node count and node-LP solve statistics\n"
-      "(warm_starts vs cold_starts, dual/primal/phase1 iterations,\n"
+      "(warm_starts vs cold_starts, dual and phase1 iterations,\n"
       "factorizations vs ft_updates, bound_flips, se_resets, the\n"
       "refactor_* trigger counters, lp_seconds; all zero for\n"
       "pure-heuristic solves — field reference in README.md). With\n"
