@@ -54,7 +54,7 @@ void SimplexSolver::BuildMatrix() {
   value_.clear();
   lower_.clear();
   upper_.clear();
-  real_cost_.clear();
+  cost_.clear();
   rhs_.resize(num_rows_);
   for (int i = 0; i < num_rows_; ++i) rhs_[i] = model_.constraint(i).rhs;
 
@@ -69,7 +69,7 @@ void SimplexSolver::BuildMatrix() {
     }
     lower_.push_back(lo);
     upper_.push_back(hi);
-    real_cost_.push_back(c);
+    cost_.push_back(c);
   };
 
   for (int j = 0; j < num_struct_; ++j) {
@@ -371,7 +371,6 @@ LpResult SimplexSolver::FinishResult(LpStatus status, bool warm) {
 
 LpResult SimplexSolver::Solve() {
   ResetCallCounters();
-  cost_ = real_cost_;
   SetSlackBasis();
   // The slack basis prices with π = 0 (its columns are cost-free
   // logicals), so the reduced costs are the costs themselves.
@@ -424,12 +423,14 @@ LpStatus SimplexSolver::RunDualPhase1(std::vector<double>& d) {
   // Optimum < 0: the LP is dual infeasible, so it is unbounded if it is
   // feasible at all. A zero-cost run decides; its slack start is trivially
   // dual feasible.
-  std::fill(cost_.begin(), cost_.end(), 0.0);
+  std::vector<double> cost(num_cols_, 0.0);
+  cost_.swap(cost);
   SetSlackBasis();
   std::fill(d.begin(), d.end(), 0.0);
   PlaceNonbasics(d, 0.0);
-  if (!Refactorize()) return LpStatus::kNumericalFailure;
-  status = RunDual(MaxIterations(), d);
+  status = Refactorize() ? RunDual(MaxIterations(), d)
+                         : LpStatus::kNumericalFailure;
+  cost_.swap(cost);
   phase1_iterations_ = iterations_;
   return status == LpStatus::kOptimal ? LpStatus::kUnbounded : status;
 }
@@ -792,7 +793,6 @@ LpResult SimplexSolver::Reoptimize() {
                    : (std::isfinite(lower_[j]) ? lower_[j] : 0.0);
   }
 
-  cost_ = real_cost_;
   // Reuse the live factorization when the loaded basis is the one the
   // solver already factorized (the plunging-child fast path); only the
   // basic values need recomputing under the new bounds. A stale, invalid,

@@ -294,16 +294,14 @@ class SimplexSolver {
   std::vector<int> col_start_;
   std::vector<int> row_index_;
   std::vector<double> value_;
-  // Row-wise copy of the same columns, built once with the CSC matrix:
-  // row i spans
-  // (row_col_, row_value_)[row_start_[i] .. row_start_[i+1]).
+  // Row-wise copy of the same columns, built once with the CSC matrix: row
+  // i spans (row_col_, row_value_)[row_start_[i] .. row_start_[i+1]).
   std::vector<int> row_start_;
   std::vector<int> row_col_;
   std::vector<double> row_value_;
 
   std::vector<double> lower_, upper_;
-  std::vector<double> cost_;       // active cost (zeroed by phase 1's last run)
-  std::vector<double> real_cost_;  // the model's cost
+  std::vector<double> cost_;
   std::vector<double> rhs_;
 
   // --- simplex state -----------------------------------------------------
