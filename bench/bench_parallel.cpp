@@ -1,35 +1,14 @@
-// Scaling bench for the parallel engine: the whole-schema BatchAdvisor at
-// 1/2/4/8 threads on TPC-C and a 20-table random instance, plus the
-// portfolio racer. Emits JSON (to stdout) so runs can seed the repo's
-// BENCH_*.json perf trajectory:
+// Regression gates for the B&B core, the advisor daemon and the
+// observability layer. Each mode emits one JSON document on stdout and
+// exits non-zero when its contract breaks; the ctest smokes run the
+// --quick variants against the checked-in BENCH_*.json baselines:
 //
-//   $ ./build/bench_parallel > BENCH_parallel.json
-//   $ ./build/bench_parallel --api > BENCH_api.json   # api-overhead only
-//   $ ./build/bench_parallel --cost-model > BENCH_costmodel.json
 //   $ ./build/bench_parallel --mip-core > BENCH_mip.json  # warm-start B&B
+//   $ ./build/bench_parallel --serve > BENCH_serve.json   # daemon cache
+//   $ ./build/bench_parallel --obs > BENCH_obs.json       # recorder cost
 //
-// Per-table solves are wall-clock budgeted (VPART_SA_TIME_LIMIT_S, default
-// 0.25 s per table), so the measured speedup isolates the engine's
-// orchestration: N tables x budget serial vs ceil(N/threads) x budget
-// racing. The batch contract guarantees the advice itself is
-// thread-count-invariant for deterministic per-table algorithms.
-//
-// The --api section times the same fixed-work TPC-C whole-schema SA solve
-// through the three entry points (legacy AdvisePartitioning shim, direct
-// Advise(), and a full AdviseSession with event recording) to bound the
-// service API's overhead over the legacy call (<1% target).
-//
-// The --cost-model section times coefficient precompute (c1..c4) through
-// the pluggable interface — the CostModel constructor, whose weight
-// functors inline into the shared Precompute loop, and the full
-// CostModelRegistry::Build path — against a verbatim separate-TU copy of
-// the pre-interface constructor (bench/costmodel_baseline.cc), on TPC-C
-// and a 20-table random schema, plus build times of the hardware-scenario
-// backends. Target: the interface tax stays within measurement noise
-// (<2% on quiet hardware). Caveat: these are ~1-10 us builds, so on small
-// noisy machines the reported percentages swing with binary layout and
-// scheduler jitter; track the absolute min-seconds across history rather
-// than single-run ratios.
+// End-to-end and per-layer timings of fixed-work requests live in
+// perfbench/ (python3 perfbench/run.py).
 //
 // The --mip-core section solves the same eq.-(7) branch & bound twice —
 // MipOptions::use_warm_start off (every node a cold dual simplex from the
@@ -99,22 +78,17 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include "api/advise.h"
 #include "api/json.h"
-#include "api/session.h"
+#include "api/solver_registry.h"
 #include "bench_util.h"
-#include "costmodel_baseline.h"
 #include "cost/cost_model.h"
-#include "cost/cost_model_registry.h"
 #include "engine/batch_advisor.h"
-#include "engine/portfolio.h"
 #include "mip/branch_and_bound.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "solver/advisor.h"
 #include "solver/formulation.h"
 #include "util/stopwatch.h"
 #include "workload/instance.h"
@@ -122,108 +96,6 @@
 
 namespace vpart::bench {
 namespace {
-
-struct BatchPoint {
-  int threads = 1;
-  double seconds = 0.0;
-  double cost = 0.0;
-  double reduction_percent = 0.0;
-};
-
-BatchPoint RunBatch(const Instance& instance, int threads,
-                    double per_table_budget) {
-  BatchAdvisorOptions options;
-  options.advisor.num_sites = 3;
-  options.advisor.algorithm = AdvisorOptions::Algorithm::kSa;
-  options.advisor.time_limit_seconds = per_table_budget;
-  // Anneal until the per-table budget expires: each table then costs one
-  // budget of wall clock, which is what the orchestration speedup of the
-  // pool (ceil(tables/threads) budgets instead of tables x budget) is
-  // measured against.
-  options.advisor.sa_max_restarts = 1 << 20;
-  options.advisor.seed = 7;
-  options.num_threads = threads;
-  auto advised = AdviseSchema(instance, options);
-  BatchPoint point;
-  point.threads = threads;
-  if (!advised.ok()) {
-    std::fprintf(stderr, "batch advise failed: %s\n",
-                 advised.status().ToString().c_str());
-    return point;
-  }
-  point.seconds = advised->seconds;
-  point.cost = advised->combined.cost;
-  point.reduction_percent = advised->combined.reduction_percent;
-  return point;
-}
-
-void EmitBatchSeries(const char* key, const Instance& instance,
-                     double per_table_budget, bool& first_section) {
-  std::vector<BatchPoint> points;
-  for (int threads : {1, 2, 4, 8}) {
-    points.push_back(RunBatch(instance, threads, per_table_budget));
-  }
-  const double base = points.front().seconds;
-  if (!first_section) std::printf(",\n");
-  first_section = false;
-  std::printf("  \"%s\": [\n", key);
-  for (size_t i = 0; i < points.size(); ++i) {
-    const BatchPoint& p = points[i];
-    std::printf("    {\"threads\": %d, \"seconds\": %.3f, "
-                "\"speedup_vs_1\": %.2f, \"cost\": %.1f, "
-                "\"reduction_percent\": %.1f}%s\n",
-                p.threads, p.seconds,
-                p.seconds > 0 ? base / p.seconds : 0.0, p.cost,
-                p.reduction_percent, i + 1 < points.size() ? "," : "");
-  }
-  std::printf("  ]");
-}
-
-void EmitPortfolioSeries(const Instance& instance, double time_limit,
-                         bool& first_section) {
-  if (!first_section) std::printf(",\n");
-  first_section = false;
-  std::printf("  \"portfolio_tpcc\": [\n");
-  const int variants[] = {1, 4};
-  for (size_t i = 0; i < 2; ++i) {
-    CostModel model(&instance, CostParams{});
-    PortfolioOptions options;
-    options.num_sites = 3;
-    options.time_limit_seconds = time_limit;
-    options.num_threads = variants[i];
-    auto result = SolvePortfolio(model, options);
-    if (!result.ok()) {
-      std::fprintf(stderr, "portfolio failed: %s\n",
-                   result.status().ToString().c_str());
-      continue;
-    }
-    std::printf("    {\"threads\": %d, \"seconds\": %.3f, "
-                "\"cost\": %.1f, \"winner\": \"%s\", "
-                "\"proven_optimal\": %s}%s\n",
-                variants[i], result->seconds, result->cost,
-                result->winner.c_str(),
-                result->proven_optimal ? "true" : "false",
-                i + 1 < 2 ? "," : "");
-  }
-  std::printf("  ]");
-}
-
-// --- service-API overhead vs the legacy shim -------------------------------
-
-/// One fixed-work solve: a restart-capped SA under a deadline it never
-/// reaches runs exactly `max_restarts + 2` anneals, so every entry point
-/// does the same computation (hundreds of ms — large enough that the
-/// session's one-time thread spawn must stay in the noise) and the delta
-/// is pure API overhead.
-AdvisorOptions FixedWorkOptions() {
-  AdvisorOptions options;
-  options.num_sites = 3;
-  options.algorithm = AdvisorOptions::Algorithm::kSa;
-  options.time_limit_seconds = 1e6;  // never reached
-  options.sa_max_restarts = 512;
-  options.seed = 7;
-  return options;
-}
 
 double MedianSeconds(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
@@ -235,171 +107,6 @@ double MedianSeconds(std::vector<double> samples) {
 /// scheduler).
 double MinSeconds(const std::vector<double>& samples) {
   return *std::min_element(samples.begin(), samples.end());
-}
-
-void EmitApiOverhead(const Instance& instance, int repetitions,
-                     bool& first_section) {
-  const AdvisorOptions options = FixedWorkOptions();
-  const AdviseRequest request = FromAdvisorOptions(options);
-
-  std::vector<double> legacy_s, advise_s, session_s;
-  double check_cost = 0.0;
-  for (int i = 0; i < repetitions; ++i) {
-    {
-      Stopwatch watch;
-      auto result = AdvisePartitioning(instance, options);
-      legacy_s.push_back(watch.ElapsedSeconds());
-      if (result.ok()) check_cost = result->cost;
-    }
-    {
-      Stopwatch watch;
-      auto response = Advise(instance, request);
-      advise_s.push_back(watch.ElapsedSeconds());
-      if (response.ok() && std::abs(response->result.cost - check_cost) >
-                               1e-6 * std::abs(check_cost)) {
-        std::fprintf(stderr, "api-overhead: Advise cost diverged\n");
-      }
-    }
-    {
-      Stopwatch watch;
-      AdviseSession session(instance, request);
-      session.Start();
-      const auto& response = session.Wait();
-      session_s.push_back(watch.ElapsedSeconds());
-      if (response.ok() && std::abs(response->result.cost - check_cost) >
-                               1e-6 * std::abs(check_cost)) {
-        std::fprintf(stderr, "api-overhead: session cost diverged\n");
-      }
-    }
-  }
-
-  const double legacy = MedianSeconds(legacy_s);
-  const double advise = MedianSeconds(advise_s);
-  const double session = MedianSeconds(session_s);
-  if (!first_section) std::printf(",\n");
-  first_section = false;
-  std::printf("  \"api_overhead_tpcc\": {\n");
-  std::printf("    \"workload\": \"whole-schema SA, 514 anneals, seed 7\",\n");
-  std::printf("    \"repetitions\": %d,\n", repetitions);
-  std::printf("    \"legacy_shim_median_seconds\": %.6f,\n", legacy);
-  std::printf("    \"advise_median_seconds\": %.6f,\n", advise);
-  std::printf("    \"session_median_seconds\": %.6f,\n", session);
-  std::printf("    \"advise_overhead_percent\": %.3f,\n",
-              legacy > 0 ? 100.0 * (advise - legacy) / legacy : 0.0);
-  std::printf("    \"session_overhead_percent\": %.3f\n",
-              legacy > 0 ? 100.0 * (session - legacy) / legacy : 0.0);
-  std::printf("  }");
-}
-
-void EmitCostModelOverhead(const char* key, const Instance& instance,
-                           int repetitions, int inner, bool emit_backends,
-                           bool& first_section) {
-  const CostParams params{.p = 8, .lambda = 0.1};
-  volatile double sink = 0.0;
-
-  std::vector<double> direct_s, interface_s, registry_s;
-  // Same sink for all three variants (c2(0)) so the timings do identical
-  // work and the ratio is unbiased.
-  auto time_direct = [&]() {
-    Stopwatch watch;
-    for (int j = 0; j < inner; ++j) {
-      OldStyleCostTables tables(&instance, params.p);
-      sink = tables.c2_[0];
-    }
-    direct_s.push_back(watch.ElapsedSeconds());
-  };
-  auto time_interface = [&]() {
-    Stopwatch watch;
-    for (int j = 0; j < inner; ++j) {
-      CostModel model(&instance, params);
-      sink = model.c2(0);
-    }
-    interface_s.push_back(watch.ElapsedSeconds());
-  };
-  auto time_registry = [&]() {
-    Stopwatch watch;
-    for (int j = 0; j < inner; ++j) {
-      auto model = CostModelRegistry::Global().Build(
-          BorrowInstance(instance), params, CostModelSpec{});
-      if (!model.ok()) {
-        std::fprintf(stderr, "registry build failed: %s\n",
-                     model.status().ToString().c_str());
-        std::exit(1);
-      }
-      sink = (*model)->c2(0);
-    }
-    registry_s.push_back(watch.ElapsedSeconds());
-  };
-  // Warm caches/frequency before the first timed sample, then rotate the
-  // measurement order per repetition so clock/thermal drift within a rep
-  // cannot systematically favor whichever variant runs first.
-  for (int j = 0; j < inner; ++j) {
-    CostModel model(&instance, params);
-    sink = model.c2(0);
-  }
-  for (int i = 0; i < repetitions; ++i) {
-    switch (i % 3) {
-      case 0:
-        time_direct(); time_interface(); time_registry();
-        break;
-      case 1:
-        time_interface(); time_registry(); time_direct();
-        break;
-      default:
-        time_registry(); time_direct(); time_interface();
-        break;
-    }
-  }
-  (void)sink;
-
-  const double direct = MinSeconds(direct_s);
-  const double iface = MinSeconds(interface_s);
-  const double registry = MinSeconds(registry_s);
-  if (!first_section) std::printf(",\n");
-  first_section = false;
-  std::printf("  \"%s\": {\n", key);
-  std::printf("    \"note\": \"sub-us builds: single-digit percents are "
-              "within binary-layout/scheduler noise on small machines; "
-              "compare the absolute *_min_seconds across history\",\n");
-  std::printf("    \"repetitions\": %d,\n", repetitions);
-  std::printf("    \"builds_per_sample\": %d,\n", inner);
-  std::printf("    \"direct_loop_min_seconds\": %.6f,\n", direct);
-  std::printf("    \"interface_min_seconds\": %.6f,\n", iface);
-  std::printf("    \"registry_min_seconds\": %.6f,\n", registry);
-  std::printf("    \"interface_overhead_percent\": %.3f,\n",
-              direct > 0 ? 100.0 * (iface - direct) / direct : 0.0);
-  std::printf("    \"registry_overhead_percent\": %.3f\n",
-              direct > 0 ? 100.0 * (registry - direct) / direct : 0.0);
-  std::printf("  }");
-  if (!emit_backends) return;
-  std::printf(",\n");
-
-  // Hardware-scenario backends: absolute build cost per backend.
-  std::printf("  \"backend_build_tpcc\": {\n");
-  const std::vector<std::string> names =
-      CostModelRegistry::Global().Names();
-  for (size_t n = 0; n < names.size(); ++n) {
-    CostModelSpec spec;
-    spec.backend = names[n];
-    std::vector<double> samples;
-    for (int i = 0; i < repetitions; ++i) {
-      Stopwatch watch;
-      for (int j = 0; j < inner; ++j) {
-        auto model = CostModelRegistry::Global().Build(
-            BorrowInstance(instance), params, spec);
-        if (!model.ok()) {
-          std::fprintf(stderr, "backend '%s' build failed: %s\n",
-                       names[n].c_str(), model.status().ToString().c_str());
-          std::exit(1);
-        }
-        sink = (*model)->c2(0);
-      }
-      samples.push_back(watch.ElapsedSeconds());
-    }
-    std::printf("    \"%s_min_seconds\": %.6f%s\n", names[n].c_str(),
-                MinSeconds(samples), n + 1 < names.size() ? "," : "");
-  }
-  std::printf("  }");
 }
 
 // --- warm-started MIP core: warm dual reoptimize vs cold dual -------------
@@ -631,14 +338,12 @@ struct ObsBatchRun {
 
 ObsBatchRun RunObsBatch(const Instance& instance, ObsLevel level,
                         int restarts) {
-  AdvisorOptions options;
-  options.num_sites = 3;
-  options.algorithm = AdvisorOptions::Algorithm::kSa;
-  options.time_limit_seconds = 1e6;  // never reached
-  options.sa_max_restarts = restarts;
-  options.seed = 7;
   BatchAdviseRequest batch;
-  batch.request = FromAdvisorOptions(options);
+  batch.request.solver = kSolverSa;
+  batch.request.num_sites = 3;
+  batch.request.time_limit_seconds = 1e6;  // never reached
+  batch.request.sa.max_restarts = restarts;
+  batch.request.seed = 7;
   batch.request.num_threads = 1;
   batch.request.obs = level;
   batch.table_threads = 1;
@@ -1178,134 +883,44 @@ int ServeMain(bool quick, const char* baseline_path) {
   return ok ? 0 : 1;
 }
 
-int Main(bool api_only, bool cost_model_only) {
-  if (cost_model_only) {
-    Instance tpcc = MakeTpccInstance();
-    // ~6x TPC-C's attribute count: the coefficient loop dominates the
-    // per-build fixed costs (allocations, handles), so this is the
-    // asymptotic interface tax the <2% contract pins. The TPC-C section
-    // reports the same ratio on a ~1.5 us build, where per-build
-    // constants and scheduler noise on small machines loom larger.
-    Instance large =
-        MakeRandomInstance(Table1DefaultParams(/*size=*/20, /*seed=*/3));
-    bool first_section = true;
-    std::printf("{\n");
-    std::printf("  \"bench\": \"costmodel\",\n");
-    std::printf("  \"hardware_concurrency\": %u,\n",
-                std::thread::hardware_concurrency());
-    EmitCostModelOverhead("costmodel_precompute_random_t20", large,
-                          /*repetitions=*/25, /*inner=*/400,
-                          /*emit_backends=*/false, first_section);
-    EmitCostModelOverhead("costmodel_precompute_tpcc", tpcc,
-                          /*repetitions=*/25, /*inner=*/4000,
-                          /*emit_backends=*/true, first_section);
-    std::printf("\n}\n");
-    return 0;
-  }
-  if (api_only) {
-    Instance tpcc = MakeTpccInstance();
-    bool first_section = true;
-    std::printf("{\n");
-    std::printf("  \"bench\": \"api\",\n");
-    std::printf("  \"hardware_concurrency\": %u,\n",
-                std::thread::hardware_concurrency());
-    EmitApiOverhead(tpcc, /*repetitions=*/7, first_section);
-    std::printf("\n}\n");
-    return 0;
-  }
-  const double per_table_budget = SaTimeLimit(0.25);
-
-  std::printf("{\n");
-  std::printf("  \"bench\": \"parallel\",\n");
-  std::printf("  \"hardware_concurrency\": %u,\n",
-              std::thread::hardware_concurrency());
-  std::printf("  \"per_table_budget_seconds\": %.3f,\n", per_table_budget);
-  bool first_section = true;
-
-  Instance tpcc = MakeTpccInstance();
-  EmitBatchSeries("tpcc_batch", tpcc, per_table_budget, first_section);
-
-  // 20 tables x 20 transactions: wider fan-out than TPC-C's 9 tables.
-  Instance random_instance =
-      MakeRandomInstance(Table1DefaultParams(/*size=*/20, /*seed=*/3));
-  EmitBatchSeries("random_t20_batch", random_instance,
-                  per_table_budget / 2, first_section);
-
-  EmitPortfolioSeries(tpcc, /*time_limit=*/8.0 * per_table_budget,
-                      first_section);
-
-  EmitApiOverhead(tpcc, /*repetitions=*/5, first_section);
-
-  std::printf("\n}\n");
-  return 0;
-}
-
 }  // namespace
 }  // namespace vpart::bench
 
 int main(int argc, char** argv) {
-  const bool api_only = argc > 1 && std::strcmp(argv[1], "--api") == 0;
-  const bool cost_model_only =
-      argc > 1 && std::strcmp(argv[1], "--cost-model") == 0;
-  if (argc > 1 && std::strcmp(argv[1], "--mip-core") == 0) {
-    bool quick = false;
-    const char* baseline = nullptr;
-    const char* history = nullptr;
-    const char* trace = nullptr;
-    for (int arg = 2; arg < argc; ++arg) {
-      if (std::strcmp(argv[arg], "--quick") == 0) {
-        quick = true;
-      } else if (std::strcmp(argv[arg], "--baseline") == 0 &&
-                 arg + 1 < argc) {
-        baseline = argv[++arg];
-      } else if (std::strcmp(argv[arg], "--history") == 0 && arg + 1 < argc) {
-        history = argv[++arg];
-      } else if (std::strcmp(argv[arg], "--trace") == 0 && arg + 1 < argc) {
-        trace = argv[++arg];
-      } else {
-        std::fprintf(stderr,
-                     "usage: bench_parallel --mip-core [--quick] "
-                     "[--baseline FILE] [--history FILE] [--trace FILE]\n");
-        return 2;
-      }
+  const char* mode = argc > 1 ? argv[1] : "";
+  const bool mip_core = std::strcmp(mode, "--mip-core") == 0;
+  const bool serve = std::strcmp(mode, "--serve") == 0;
+  bool args_ok = mip_core || serve || std::strcmp(mode, "--obs") == 0;
+  bool quick = false;
+  const char* baseline = nullptr;
+  const char* history = nullptr;
+  const char* trace = nullptr;
+  for (int arg = 2; args_ok && arg < argc; ++arg) {
+    const bool has_value = arg + 1 < argc;
+    if (std::strcmp(argv[arg], "--quick") == 0) {
+      quick = true;
+    } else if (std::strcmp(argv[arg], "--baseline") == 0 && has_value) {
+      baseline = argv[++arg];
+    } else if (mip_core && std::strcmp(argv[arg], "--history") == 0 &&
+               has_value) {
+      history = argv[++arg];
+    } else if (mip_core && std::strcmp(argv[arg], "--trace") == 0 &&
+               has_value) {
+      trace = argv[++arg];
+    } else {
+      args_ok = false;
     }
+  }
+  if (!args_ok) {
+    std::fprintf(stderr,
+                 "usage: bench_parallel --mip-core | --serve | --obs "
+                 "[--quick] [--baseline FILE] (--mip-core also takes "
+                 "[--history FILE] [--trace FILE])\n");
+    return 2;
+  }
+  if (mip_core) {
     return vpart::bench::MipCoreMain(quick, baseline, history, trace);
   }
-  if (argc > 1 && std::strcmp(argv[1], "--serve") == 0) {
-    bool quick = false;
-    const char* baseline = nullptr;
-    for (int arg = 2; arg < argc; ++arg) {
-      if (std::strcmp(argv[arg], "--quick") == 0) {
-        quick = true;
-      } else if (std::strcmp(argv[arg], "--baseline") == 0 &&
-                 arg + 1 < argc) {
-        baseline = argv[++arg];
-      } else {
-        std::fprintf(stderr,
-                     "usage: bench_parallel --serve [--quick] "
-                     "[--baseline FILE]\n");
-        return 2;
-      }
-    }
-    return vpart::bench::ServeMain(quick, baseline);
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--obs") == 0) {
-    bool quick = false;
-    const char* baseline = nullptr;
-    for (int arg = 2; arg < argc; ++arg) {
-      if (std::strcmp(argv[arg], "--quick") == 0) {
-        quick = true;
-      } else if (std::strcmp(argv[arg], "--baseline") == 0 &&
-                 arg + 1 < argc) {
-        baseline = argv[++arg];
-      } else {
-        std::fprintf(stderr,
-                     "usage: bench_parallel --obs [--quick] "
-                     "[--baseline FILE]\n");
-        return 2;
-      }
-    }
-    return vpart::bench::ObsMain(quick, baseline);
-  }
-  return vpart::bench::Main(api_only, cost_model_only);
+  if (serve) return vpart::bench::ServeMain(quick, baseline);
+  return vpart::bench::ObsMain(quick, baseline);
 }

@@ -67,42 +67,6 @@ const char* AdviseOutcomeName(AdviseOutcome outcome) {
   return "unknown";
 }
 
-const char* SolverNameForAlgorithm(AdvisorOptions::Algorithm algorithm) {
-  using Algorithm = AdvisorOptions::Algorithm;
-  switch (algorithm) {
-    case Algorithm::kAuto:
-      return kSolverAuto;
-    case Algorithm::kIlp:
-      return kSolverIlp;
-    case Algorithm::kSa:
-      return kSolverSa;
-    case Algorithm::kExhaustive:
-      return kSolverExhaustive;
-    case Algorithm::kIncremental:
-      return kSolverIncremental;
-    case Algorithm::kPortfolio:
-      return kSolverPortfolio;
-  }
-  return kSolverAuto;
-}
-
-AdviseRequest FromAdvisorOptions(const AdvisorOptions& options) {
-  AdviseRequest request;
-  request.solver = SolverNameForAlgorithm(options.algorithm);
-  request.num_sites = options.num_sites;
-  request.num_threads = options.num_threads;
-  request.cost = options.cost;
-  request.cost_model = options.cost_model;
-  request.allow_replication = options.allow_replication;
-  request.use_attribute_grouping = options.use_attribute_grouping;
-  request.latency_penalty = options.latency_penalty;
-  request.time_limit_seconds = options.time_limit_seconds;
-  request.seed = options.seed;
-  request.ilp.mip_gap = options.mip_gap;
-  request.sa.max_restarts = options.sa_max_restarts;
-  return request;
-}
-
 StatusOr<AdviseResponse> AdviseWithHooks(const Instance& instance,
                                          const AdviseRequest& request,
                                          const AdviseHooks& hooks) {

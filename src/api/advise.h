@@ -45,7 +45,6 @@ struct WarmSeed {
 
 /// Typed per-solver option blocks. Each block only applies when the named
 /// solver (or the portfolio racing it) runs; unrelated blocks are ignored.
-/// The flat legacy AdvisorOptions maps onto these via FromAdvisorOptions.
 
 struct IlpRequestOptions {
   /// Stop when (incumbent - bound)/|incumbent| falls below this (the
@@ -150,16 +149,16 @@ struct AdviseRequest {
 };
 
 /// How a request finished. Deadline expiry is kComplete (the solver
-/// returned its best answer inside its budget, like the legacy API);
-/// kCancelled is reserved for an explicit Cancel().
+/// returned its best answer inside its budget); kCancelled is reserved for
+/// an explicit Cancel().
 enum class AdviseOutcome { kComplete, kCancelled };
 
 const char* AdviseOutcomeName(AdviseOutcome outcome);
 
 struct AdviseResponse {
   /// The recommendation payload (costs, breakdown, partitioning,
-  /// algorithm_used detail label) — same struct the legacy API returns, so
-  /// reports and benches consume either path unchanged.
+  /// algorithm_used detail label; solver/advisor.h). Batch merges, dist
+  /// results, the serve cache and the reports all read this struct.
   AdvisorResult result;
   /// Registry name of the solver that actually ran ("ilp", "sa", ...);
   /// resolves "auto" so callers see the real choice.
@@ -236,14 +235,6 @@ StatusOr<AdviseResponse> Advise(const Instance& instance,
 StatusOr<AdviseResponse> AdviseWithHooks(const Instance& instance,
                                          const AdviseRequest& request,
                                          const AdviseHooks& hooks);
-
-/// Maps the flat legacy options onto a request (algorithm enum -> registry
-/// name, sa_max_restarts -> sa block, mip_gap -> ilp block, ...). The
-/// legacy AdvisePartitioning() is exactly Advise() over this conversion.
-AdviseRequest FromAdvisorOptions(const AdvisorOptions& options);
-
-/// Registry name for a legacy algorithm enum ("auto" for kAuto).
-const char* SolverNameForAlgorithm(AdvisorOptions::Algorithm algorithm);
 
 }  // namespace vpart
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "api/solver_registry.h"
@@ -338,8 +339,14 @@ StatusOr<CliRequest> ParseCliRequest(const std::string& json_text) {
   if (request.num_sites < 1) {
     return InvalidArgumentError("\"num_sites\" must be >= 1");
   }
-  if (request.num_threads < 0) {
-    return InvalidArgumentError("\"num_threads\" must be >= 0");
+  if (request.num_threads < 0 || request.num_threads > kMaxRequestThreads) {
+    return InvalidArgumentError("\"num_threads\" must be in [0, " +
+                                std::to_string(kMaxRequestThreads) + "]");
+  }
+  if (request.ilp.bnb_threads < 0 ||
+      request.ilp.bnb_threads > kMaxRequestThreads) {
+    return InvalidArgumentError("\"ilp.bnb_threads\" must be in [0, " +
+                                std::to_string(kMaxRequestThreads) + "]");
   }
   if (request.solver != kSolverAuto &&
       !SolverRegistry::Global().Contains(request.solver)) {

@@ -51,6 +51,12 @@ namespace vpart {
 ///   }
 ///
 /// Only "instance" is required; everything else defaults as above.
+/// "num_threads" and "ilp.bnb_threads" must lie in [0, kMaxRequestThreads].
+
+/// Upper bound on the thread counts one request may ask for. Requests come
+/// from outside the process (the daemon parses every client frame), and a
+/// count becomes a thread pool of that size, so it is capped at parse time.
+inline constexpr int kMaxRequestThreads = 256;
 
 /// Admission class for daemon-mode requests: interactive requests are
 /// dequeued ahead of batch ones when the worker pool is contended.

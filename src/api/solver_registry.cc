@@ -229,8 +229,8 @@ class IlpAdapter : public Solver {
       ilp.warm_start = seed_incumbent;
     }
 
-    // Seed the branch & bound with a quick SA incumbent (the legacy path's
-    // warm start; dramatically improves pruning on large models).
+    // Seed the branch & bound with a quick SA incumbent (dramatically
+    // improves pruning on large models).
     SaResult warm;
     const bool have_warm =
         seed_incumbent == nullptr && request.ilp.warm_start_seconds > 0;
@@ -559,10 +559,10 @@ StatusOr<std::string> SolverRegistry::Resolve(
     return check_latency(request.solver);
   }
 
-  // Capability policy, mirroring the legacy heuristic but queried instead
-  // of hard-coded. A caller granting threads wants them used: prefer a
-  // multi-threaded solver — unless latency_penalty needs a capability none
-  // of them has, which must never downgrade silently.
+  // Capability policy, queried from the registry instead of hard-coded.
+  // A caller granting threads wants them used: prefer a multi-threaded
+  // solver — unless latency_penalty needs a capability none of them has,
+  // which must never downgrade silently.
   if (request.num_threads > 1) {
     std::vector<std::string> parallel;
     std::vector<std::string> skipped_for_latency;

@@ -36,18 +36,10 @@ struct TableSubinstance {
 StatusOr<std::vector<TableSubinstance>> SplitInstanceByTable(
     const Instance& instance);
 
-struct BatchAdvisorOptions {
-  /// Applied to every per-table solve; `advisor.time_limit_seconds` is a
-  /// per-table budget. `advisor.num_threads` stays per-solve (leave it 1
-  /// unless tables are few and huge).
-  AdvisorOptions advisor;
-  /// Tables advised concurrently; 0 = ThreadPool::DefaultThreadCount().
-  int num_threads = 0;
-};
-
-/// Service-API flavor of the batch options: the per-table solve is an
-/// AdviseRequest template (request.time_limit_seconds is the per-table
-/// budget; request.num_threads stays per-solve).
+/// A whole-schema request: the per-table solve is an AdviseRequest
+/// template (request.time_limit_seconds is the per-table budget;
+/// request.num_threads stays per-solve, so leave it 1 unless tables are few
+/// and huge).
 struct BatchAdviseRequest {
   AdviseRequest request;
   /// Tables advised concurrently; 0 = ThreadPool::DefaultThreadCount().
@@ -93,10 +85,6 @@ StatusOr<BatchAdvisorResult> MergeTableAdvice(
 /// fails.
 StatusOr<BatchAdvisorResult> AdviseSchema(const Instance& instance,
                                           const BatchAdviseRequest& batch);
-
-/// Legacy-options flavor: converts via FromAdvisorOptions and delegates.
-StatusOr<BatchAdvisorResult> AdviseSchema(const Instance& instance,
-                                          const BatchAdvisorOptions& options);
 
 }  // namespace vpart
 

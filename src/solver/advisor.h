@@ -4,66 +4,13 @@
 #include <string>
 
 #include "cost/cost_coefficients.h"
-#include "cost/cost_model_spec.h"
-#include "solver/ilp_solver.h"
-#include "solver/sa_solver.h"
-#include "util/status.h"
+#include "cost/partitioning.h"
 
 namespace vpart {
 
-/// Legacy high-level entry point: instance in, recommended partitioning
-/// out. Since the api/ layer landed this is a source-compatible shim over
-/// Advise() (api/advise.h) — same orchestration, same SolverRegistry; new
-/// code wanting cancellation, progress streaming, or per-solver option
-/// blocks should use AdviseRequest/AdviseSession directly.
-struct AdvisorOptions {
-  enum class Algorithm {
-    kAuto,        // exhaustive for tiny, ILP for small, SA otherwise;
-                  // portfolio whenever num_threads > 1 (and, since the
-                  // registry landed, parallel-B&B ILP when a latency
-                  // penalty rules the portfolio out — with a warning,
-                  // never silently)
-    kIlp,         // the paper's QP solver
-    kSa,          // the paper's SA heuristic
-    kExhaustive,  // exact enumeration (small |T| only)
-    kIncremental, // §4's 20/80 iterative heuristic
-    kPortfolio,   // engine/portfolio.h: ILP, SA and incremental race
-                  // concurrently, sharing their best incumbent
-  };
-
-  int num_sites = 2;
-  /// Worker threads for the portfolio race (and its branch & bound);
-  /// 1 keeps every path single-threaded. With kAuto, any value > 1
-  /// selects kPortfolio. For whole-schema many-table concurrency see
-  /// engine/batch_advisor.h.
-  int num_threads = 1;
-  CostParams cost;  // p and λ
-  /// Cost-model backend selection (paper/cacheline/disk_page/custom); see
-  /// cost/cost_model_spec.h. Defaults to the paper's model.
-  CostModelSpec cost_model;
-  Algorithm algorithm = Algorithm::kAuto;
-  bool allow_replication = true;
-  /// Apply the §4 reasonable-cuts reduction before solving (exact).
-  bool use_attribute_grouping = true;
-  /// Appendix A: per-query latency penalty p_l added to the objective for
-  /// write queries touching remote replicas. 0 disables the extension.
-  /// Honored exactly by the ILP path; the heuristic paths — including
-  /// kPortfolio, whose lanes share one latency-free bound — optimize the
-  /// base objective and report the latency exposure of their result.
-  /// (kAuto therefore never picks the portfolio when this is set: with
-  /// num_threads > 1 it logs a warning and runs the parallel-B&B ILP,
-  /// which does price the term.)
-  double latency_penalty = 0.0;
-  double time_limit_seconds = 30.0;
-  double mip_gap = 0.001;
-  uint64_t seed = 1;
-  /// Restart cap for the kSa path (SaOptions::max_restarts). Raise it
-  /// (e.g. to 1 << 20) to make an SA solve consume its whole
-  /// `time_limit_seconds` budget — what a wall-clock-bound batch or bench
-  /// wants; the default keeps solves short on small instances.
-  int sa_max_restarts = 6;
-};
-
+/// The recommendation payload of one advise (api/advise.h): the layout,
+/// its costs and how it was found. Batch, dist, serve and the reports all
+/// read this one struct.
 struct AdvisorResult {
   Partitioning partitioning;
   /// Objective (4) of the recommendation and of the single-site baseline.
@@ -80,9 +27,6 @@ struct AdvisorResult {
   /// Set when the ILP path proved optimality within the gap.
   bool proven_optimal = false;
 };
-
-StatusOr<AdvisorResult> AdvisePartitioning(const Instance& instance,
-                                           const AdvisorOptions& options);
 
 }  // namespace vpart
 

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "api/solver_registry.h"
 #include "cost/cost_model.h"
 #include "engine/batch_advisor.h"
 #include "instances/random_instance.h"
@@ -68,21 +69,21 @@ TEST(SplitInstanceTest, UntouchedTablesAreOmitted) {
   EXPECT_EQ((*subs)[0].table_id, 0);
 
   // The untouched table's attribute still lands somewhere in the merge.
-  BatchAdvisorOptions options;
-  options.advisor.num_sites = 2;
-  options.num_threads = 2;
-  StatusOr<BatchAdvisorResult> advised = AdviseSchema(*instance, options);
+  BatchAdviseRequest batch;
+  batch.request.num_sites = 2;
+  batch.table_threads = 2;
+  StatusOr<BatchAdvisorResult> advised = AdviseSchema(*instance, batch);
   ASSERT_TRUE(advised.ok()) << advised.status().ToString();
   EXPECT_GE(advised->combined.partitioning.ReplicaCount(1), 1);
 }
 
 TEST(BatchAdvisorTest, AdvisesTpccAndMergesAllTables) {
   Instance tpcc = MakeTpccInstance();
-  BatchAdvisorOptions options;
-  options.advisor.num_sites = 3;
-  options.advisor.algorithm = AdvisorOptions::Algorithm::kExhaustive;
-  options.num_threads = 4;
-  StatusOr<BatchAdvisorResult> advised = AdviseSchema(tpcc, options);
+  BatchAdviseRequest batch;
+  batch.request.num_sites = 3;
+  batch.request.solver = kSolverExhaustive;
+  batch.table_threads = 4;
+  StatusOr<BatchAdvisorResult> advised = AdviseSchema(tpcc, batch);
   ASSERT_TRUE(advised.ok()) << advised.status().ToString();
 
   EXPECT_EQ(advised->tables.size(), 9u);
@@ -108,18 +109,18 @@ TEST(BatchAdvisorTest, AdvisesTpccAndMergesAllTables) {
   EXPECT_NE(combined.algorithm_used.find("batch[9]"), std::string::npos);
 }
 
-// The batch contract: results are a pure function of the options — thread
+// The batch contract: results are a pure function of the request — thread
 // count only changes the wall clock, never the advice.
 TEST(BatchAdvisorTest, ThreadCountDoesNotChangeTheAdvice) {
   Instance tpcc = MakeTpccInstance();
-  BatchAdvisorOptions options;
-  options.advisor.num_sites = 2;
-  options.advisor.algorithm = AdvisorOptions::Algorithm::kExhaustive;
+  BatchAdviseRequest batch;
+  batch.request.num_sites = 2;
+  batch.request.solver = kSolverExhaustive;
 
-  options.num_threads = 1;
-  StatusOr<BatchAdvisorResult> one = AdviseSchema(tpcc, options);
-  options.num_threads = 4;
-  StatusOr<BatchAdvisorResult> four = AdviseSchema(tpcc, options);
+  batch.table_threads = 1;
+  StatusOr<BatchAdvisorResult> one = AdviseSchema(tpcc, batch);
+  batch.table_threads = 4;
+  StatusOr<BatchAdvisorResult> four = AdviseSchema(tpcc, batch);
   ASSERT_TRUE(one.ok() && four.ok());
   EXPECT_EQ(one->combined.cost, four->combined.cost);
   EXPECT_TRUE(one->combined.partitioning == four->combined.partitioning);
@@ -129,12 +130,12 @@ TEST(BatchAdvisorTest, ThreadCountDoesNotChangeTheAdvice) {
 
 TEST(BatchAdvisorTest, PerTableProofsRollUpToTheCombinedFlag) {
   Instance tpcc = MakeTpccInstance();
-  BatchAdvisorOptions options;
-  options.advisor.num_sites = 2;
-  options.advisor.algorithm = AdvisorOptions::Algorithm::kExhaustive;
-  options.advisor.cost.lambda = 0.0;  // exhaustive is exact at λ = 0
-  options.num_threads = 3;
-  StatusOr<BatchAdvisorResult> advised = AdviseSchema(tpcc, options);
+  BatchAdviseRequest batch;
+  batch.request.num_sites = 2;
+  batch.request.solver = kSolverExhaustive;
+  batch.request.cost.lambda = 0.0;  // exhaustive is exact at λ = 0
+  batch.table_threads = 3;
+  StatusOr<BatchAdvisorResult> advised = AdviseSchema(tpcc, batch);
   ASSERT_TRUE(advised.ok());
   for (const TableAdvice& advice : advised->tables) {
     EXPECT_TRUE(advice.result.proven_optimal) << advice.table_name;
@@ -144,9 +145,9 @@ TEST(BatchAdvisorTest, PerTableProofsRollUpToTheCombinedFlag) {
 
 TEST(BatchAdvisorTest, RejectsBadSiteCount) {
   Instance tpcc = MakeTpccInstance();
-  BatchAdvisorOptions options;
-  options.advisor.num_sites = 0;
-  StatusOr<BatchAdvisorResult> advised = AdviseSchema(tpcc, options);
+  BatchAdviseRequest batch;
+  batch.request.num_sites = 0;
+  StatusOr<BatchAdvisorResult> advised = AdviseSchema(tpcc, batch);
   EXPECT_FALSE(advised.ok());
 }
 

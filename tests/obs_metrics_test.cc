@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "api/advise.h"
+#include "api/solver_registry.h"
 #include "instances/tpcc.h"
 #include "lp/solve_stats.h"
 
@@ -244,11 +245,11 @@ TEST(LpMetricsTest, IterationCounterAddsTotalIterations) {
   EXPECT_EQ(counter.Value() - before, 40);
   EXPECT_EQ(counter.Value() - before, stats.total_iterations());
 
-  AdvisorOptions options;
-  options.num_sites = 2;
-  options.algorithm = AdvisorOptions::Algorithm::kIlp;
+  AdviseRequest request;
+  request.num_sites = 2;
+  request.solver = kSolverIlp;
   before = counter.Value();
-  auto response = Advise(MakeTpccInstance(), FromAdvisorOptions(options));
+  auto response = Advise(MakeTpccInstance(), request);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_GT(response->lp_stats.total_iterations(), 0);
   EXPECT_EQ(counter.Value() - before, response->lp_stats.total_iterations());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "engine/batch_advisor.h"
 #include "instances/tpcc.h"
@@ -116,6 +117,43 @@ TEST(RequestJsonTest, RejectsUnknownServeKeyListingValidOnes) {
       << bad.status().ToString();
   EXPECT_TRUE(Contains(bad.status(), "deadline_seconds"))
       << bad.status().ToString();
+}
+
+// Thread counts come from outside the process (every daemon client frame is
+// parsed here) and become pool sizes, so the parser caps them. Parse only:
+// nothing below starts a solve or a thread.
+std::string ThreadsRequest(const std::string& key, int value) {
+  const std::string field = "\"" + key + "\": " + std::to_string(value);
+  if (key == "bnb_threads") {
+    return R"({"instance": {"builtin": "tpcc"}, "ilp": {)" + field + "}}";
+  }
+  return R"({"instance": {"builtin": "tpcc"}, "batch": true, )" + field + "}";
+}
+
+void ExpectRejectedNamingTheKey(int value) {
+  for (const auto& [key, name] :
+       {std::pair<std::string, std::string>{"num_threads", "num_threads"},
+        {"bnb_threads", "ilp.bnb_threads"}}) {
+    auto bad = ParseCliRequest(ThreadsRequest(key, value));
+    ASSERT_FALSE(bad.ok()) << key << " = " << value;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_TRUE(Contains(bad.status(), "\"" + name + "\""))
+        << bad.status().ToString();
+  }
+}
+
+TEST(RequestJsonTest, ThreadCountsAreCappedNamingTheKey) {
+  auto cli = ParseCliRequest(ThreadsRequest("num_threads", kMaxRequestThreads));
+  ASSERT_TRUE(cli.ok()) << cli.status().ToString();
+  EXPECT_EQ(cli->request.num_threads, kMaxRequestThreads);
+  cli = ParseCliRequest(ThreadsRequest("bnb_threads", kMaxRequestThreads));
+  ASSERT_TRUE(cli.ok()) << cli.status().ToString();
+  EXPECT_EQ(cli->request.ilp.bnb_threads, kMaxRequestThreads);
+  ExpectRejectedNamingTheKey(kMaxRequestThreads + 1);
+}
+
+TEST(RequestJsonTest, NegativeThreadCountsAreRejectedNamingTheKey) {
+  ExpectRejectedNamingTheKey(-1);
 }
 
 TEST(RequestJsonTest, BatchAdvisorResultSerializesSharedDocument) {
