@@ -4,10 +4,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_util.h"
 #include "cost/cost_model.h"
+#include "instances/random_instance.h"
+#include "instances/tpcc.h"
 #include "lp/simplex.h"
+#include "solver/attribute_groups.h"
 #include "solver/formulation.h"
+#include "solver/sa_solver.h"
 #include "util/rng.h"
 
 namespace vpart {

@@ -80,9 +80,10 @@
 
 #include "api/json.h"
 #include "api/solver_registry.h"
-#include "bench_util.h"
 #include "cost/cost_model.h"
 #include "engine/batch_advisor.h"
+#include "instances/random_instance.h"
+#include "instances/tpcc.h"
 #include "mip/branch_and_bound.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -542,7 +543,7 @@ int MipCoreMain(bool quick, const char* baseline_path,
   // that would otherwise scope the level.
   std::optional<ScopedObsLevel> scoped_obs;
   if (trace_path != nullptr) scoped_obs.emplace(ObsLevel::kFull);
-  const double time_limit = QpTimeLimit(quick ? 20.0 : 60.0);
+  const double time_limit = quick ? 20.0 : 60.0;
   bool first_section = true;
   bool ok = true;
   std::vector<MipCoreSection> sections;
@@ -761,7 +762,7 @@ bool CheckServeBaseline(const char* path, double cold_seconds,
 
 int ServeMain(bool quick, const char* baseline_path) {
   const int repetitions = quick ? 3 : 5;
-  const double time_limit = QpTimeLimit(quick ? 20.0 : 60.0);
+  const double time_limit = quick ? 20.0 : 60.0;
   Instance tpcc = MakeTpccInstance();
   const std::string base_text = WriteInstanceText(tpcc);
   const std::string shifted_text =

@@ -1,111 +1,14 @@
 #ifndef VPART_BENCH_BENCH_UTIL_H_
 #define VPART_BENCH_BENCH_UTIL_H_
 
-#include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <string>
 
-#include "cost/cost_model.h"
 #include "instances/random_instance.h"
 #include "instances/tpcc.h"
 #include "report/table_printer.h"
 #include "util/string_util.h"
-#include "solver/attribute_groups.h"
-#include "solver/exhaustive_solver.h"
-#include "solver/ilp_solver.h"
-#include "solver/sa_solver.h"
 
 namespace vpart::bench {
-
-/// Wall-clock budget per QP (branch & bound) solve. The paper used 1800 s;
-/// benches default far lower so the whole suite stays interactive. Override
-/// with VPART_QP_TIME_LIMIT_S / VPART_SA_TIME_LIMIT_S.
-inline double QpTimeLimit(double fallback = 5.0) {
-  const char* env = std::getenv("VPART_QP_TIME_LIMIT_S");
-  return env != nullptr ? std::atof(env) : fallback;
-}
-inline double SaTimeLimit(double fallback = 2.0) {
-  const char* env = std::getenv("VPART_SA_TIME_LIMIT_S");
-  return env != nullptr ? std::atof(env) : fallback;
-}
-
-/// One solver outcome in Table-3 form.
-struct RunResult {
-  bool has_solution = false;
-  bool timed_out = false;
-  double cost = 0.0;
-  double seconds = 0.0;
-};
-
-/// Runs the paper's "QP" algorithm: §4 attribute grouping + linearized ILP
-/// + branch & bound (0.1% gap), wall-clock limited. A very short low-budget
-/// SA run seeds the incumbent — our branch & bound has no rounding
-/// heuristics, so this stands in for the ones inside GLPK; the bound proof
-/// and all improvement still come from the tree search.
-inline RunResult RunQp(const Instance& instance, const CostParams& params,
-                       int sites, bool allow_replication = true,
-                       double time_limit = QpTimeLimit()) {
-  auto grouping = BuildAttributeGrouping(instance);
-  if (!grouping.ok()) return {};
-  CostModel model(&grouping->reduced, params);
-  IlpSolverOptions options;
-  options.formulation.num_sites = sites;
-  options.formulation.allow_replication = allow_replication;
-  options.mip.relative_gap = 0.001;  // paper: "MIP tolerance gap of 0.1%"
-  options.mip.time_limit_seconds = time_limit;
-  SaOptions warm_options;
-  warm_options.seed = 0xbeef;
-  warm_options.allow_replication = allow_replication;
-  warm_options.inner_iterations = 8;
-  warm_options.stale_rounds_limit = 3;
-  warm_options.time_limit_seconds = std::min(0.25, time_limit / 10);
-  SaResult warm = SolveWithSa(model, sites, warm_options);
-  const bool warm_feasible =
-      ValidatePartitioning(grouping->reduced, warm.partitioning,
-                           !allow_replication)
-          .ok();
-  if (warm_feasible) options.warm_start = &warm.partitioning;
-  IlpSolveResult result = SolveWithIlp(model, options);
-
-  RunResult out;
-  out.seconds = result.seconds;
-  out.timed_out = result.timed_out();
-  if (result.ok()) {
-    out.has_solution = true;
-    // Report objective (4) on the *original* instance (identical by the
-    // grouping exactness, but evaluated there for honesty).
-    CostModel full(&instance, params);
-    out.cost = full.Objective(
-        grouping->ExpandPartitioning(*result.partitioning));
-  }
-  return out;
-}
-
-/// Runs the SA heuristic with a deterministic seed.
-inline RunResult RunSa(const Instance& instance, const CostParams& params,
-                       int sites, uint64_t seed = 1,
-                       bool allow_replication = true,
-                       double time_limit = SaTimeLimit()) {
-  CostModel model(&instance, params);
-  SaOptions options;
-  options.seed = seed;
-  options.allow_replication = allow_replication;
-  options.time_limit_seconds = time_limit;
-  SaResult result = SolveWithSa(model, sites, options);
-  RunResult out;
-  out.has_solution = true;
-  out.cost = result.cost;
-  out.seconds = result.seconds;
-  return out;
-}
-
-/// Cost of the everything-on-one-site layout (the |S| = 1 column).
-inline double SingleSiteCost(const Instance& instance,
-                             const CostParams& params) {
-  CostModel model(&instance, params);
-  return model.Objective(SingleSiteBaseline(instance, 1));
-}
 
 inline std::string Seconds(double s) {
   return StrFormat("%.1f", s);

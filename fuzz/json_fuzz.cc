@@ -1,9 +1,12 @@
-// Fuzz harness over the JSON surface: the raw document parser
+// Fuzz harness over the byte-level inputs: the raw JSON document parser
 // (JsonValue::Parse), serialization of whatever parsed, the full
-// request-schema path (ParseCliRequest), and the distributed wire decoder a
-// worker's table result goes through (DecodeAdvisorResult). The contract
-// under test: arbitrary bytes must produce a Status or a value — never a
-// crash, hang, overflow, or sanitizer report.
+// request-schema path (ParseCliRequest), the distributed wire decoder a
+// worker's table result goes through (DecodeAdvisorResult), and the `.vpi`
+// instance parser (ParseInstanceText) that dist workers run on instance
+// text straight off the wire. Every input goes through every parser, so the
+// corpus mixes JSON and `.vpi` seeds. The contract under test: arbitrary
+// bytes must produce a Status or a value — never a crash, hang, overflow,
+// or sanitizer report.
 //
 // Built two ways (see CMakeLists.txt):
 //   * json_fuzz_replay (always): a plain main() that replays every file in
@@ -23,6 +26,7 @@
 #include "dist/wire_messages.h"
 #include "engine/batch_advisor.h"
 #include "instances/tpcc.h"
+#include "workload/instance_io.h"
 
 namespace {
 
@@ -55,6 +59,8 @@ void FuzzOne(const uint8_t* data, size_t size) {
   }
   // Schema layer on top: typed readers, unknown-key checks, enum parses.
   (void)vpart::ParseCliRequest(text);
+  // The `.vpi` instance text format (workload/instance_io.h).
+  (void)vpart::ParseInstanceText(text);
 }
 
 }  // namespace

@@ -68,6 +68,11 @@ struct IlpRequestOptions {
 
 struct SaRequestOptions {
   /// Restart cap once the first anneal finished (SaOptions::max_restarts).
+  /// Restarts run only under a time limit: an unlimited request
+  /// (time_limit_seconds <= 0) anneals exactly once and ignores this cap.
+  /// A limited multi-site request runs 2 + max_restarts anneals (the first,
+  /// one from the single-site layout, then the random restarts) unless the
+  /// limit expires first.
   int max_restarts = 6;
   /// Portfolio lane only: length of one re-anneal slice; each slice
   /// publishes into the shared incumbent and warm-starts from the leader.

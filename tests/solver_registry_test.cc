@@ -8,6 +8,7 @@
 #include "api/advise.h"
 #include "api/request_json.h"
 #include "instances/tpcc.h"
+#include "obs/metrics.h"
 #include "solver/sa_solver.h"
 #include "workload/instance.h"
 
@@ -184,6 +185,29 @@ TEST(SolverRegistryTest, CustomSolverPlugsIntoAdvise) {
   EXPECT_FALSE(registry.Contains("single-site"));
   EXPECT_EQ(registry.Unregister("single-site").code(),
             StatusCode::kNotFound);
+}
+
+// SA runs restarts only under a time limit (SaRequestOptions::max_restarts):
+// an unlimited request anneals once whatever its cap; a limited one that
+// the cap ends runs the first anneal, one from the single-site layout and
+// max_restarts random restarts.
+TEST(SolverRegistryTest, SaRestartsRunOnlyUnderATimeLimit) {
+  const Counter& anneals =
+      MetricsRegistry::Global().GetCounter("vpart_sa_restarts_total");
+  const Instance tpcc = MakeTpccInstance();
+  AdviseRequest request;
+  request.solver = kSolverSa;
+  request.num_sites = 3;
+  auto anneals_of = [&](double time_limit_seconds, int max_restarts) {
+    request.time_limit_seconds = time_limit_seconds;
+    request.sa.max_restarts = max_restarts;
+    const long before = anneals.Value();
+    EXPECT_TRUE(Advise(tpcc, request).ok());
+    return anneals.Value() - before;
+  };
+  EXPECT_EQ(anneals_of(/*time_limit_seconds=*/0, /*max_restarts=*/20), 1);
+  EXPECT_EQ(anneals_of(/*time_limit_seconds=*/600, /*max_restarts=*/3),
+            2 + 3);
 }
 
 // ---------------------------------------------------------------------------

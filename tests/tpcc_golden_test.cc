@@ -2,8 +2,9 @@
 // optimal objective values of our TPC-C model so that any change to the
 // schema widths, query modeling, cost model, or solvers that shifts the
 // headline numbers is caught immediately. If a change here is *intended*
-// (e.g. adopting different width assumptions), update the constants and
-// EXPERIMENTS.md together.
+// (e.g. adopting different width assumptions), update together the
+// constants, their copies in bench/bench_paper.cpp (the paper-table shape
+// checks) and DESIGN.md's "Substitutions and deviations" list.
 
 #include <gtest/gtest.h>
 

@@ -137,6 +137,10 @@ void PrintHelp() {
       "  cost_model            {\"backend\": \"paper\"|\"cacheline\"|\n"
       "                        \"disk_page\", per-backend option blocks}\n"
       "  time_limit_seconds    whole-request wall clock\n"
+      "  sa.max_restarts       SA restart cap (default 6). Restarts run\n"
+      "                        only under a time limit: with\n"
+      "                        time_limit_seconds 0 SA anneals once; else\n"
+      "                        it runs up to 2 + max_restarts anneals\n"
       "  batch                 true = one solve per table (whole schema)\n"
       "  emit_events           true = include the progress-event stream\n"
       "  obs                   \"off\"|\"basic\"|\"full\" span recording\n"
